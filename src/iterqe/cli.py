@@ -62,8 +62,8 @@ def main():
 @click.option("--corpus", "corpus_path", required=True, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "tsv"]), default="jsonl")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--k1", type=float, default=0.9, show_default=True)
-@click.option("--b", type=float, default=0.4, show_default=True)
+@click.option("--k1", type=float, default=Bm25Params.k1, show_default=True)
+@click.option("--b", type=float, default=Bm25Params.b, show_default=True)
 @click.option("--force", is_flag=True, help="Overwrite an existing index file.")
 def cmd_index(corpus_path, fmt, out_path, k1, b, force):
     """Ingest a corpus and persist a BM25 index."""
@@ -71,6 +71,9 @@ def cmd_index(corpus_path, fmt, out_path, k1, b, force):
         raise click.ClickException(f"{out_path} exists; pass --force to rebuild")
     if not os.path.exists(corpus_path):
         raise click.ClickException(f"corpus file not found: {corpus_path}")
+    out_dir = os.path.dirname(os.path.abspath(out_path))
+    if not os.path.isdir(out_dir):
+        raise click.ClickException(f"output directory not found: {out_dir}")
     try:
         corpus = ingest_corpus(corpus_path, fmt)
         index = build_index(corpus, Bm25Params(k1=k1, b=b))
@@ -115,58 +118,66 @@ def _pipeline_options(fn):
     return fn
 
 
-def _build_backend(cfg: dict):
-    if cfg["backend"] == "mock":
-        return MockBackend(
-            mode=cfg["mock_mode"], seed=cfg["seed"], fixed_text=cfg["fixed_text"]
-        )
-    api_key = os.environ.get(cfg["key_env"], "") if cfg["key_env"] else ""
-    return ChatCompletionsBackend(
-        base_url=cfg["base_url"], model=cfg["model"], api_key=api_key
-    )
+# run config key -> the PipelineConfig, GenerationParams or MockBackend field it
+# sets; the defaults of those classes are the defaults of the config
+PIPELINE_KEYS = {
+    "rounds": "rounds", "samples": "samples_per_round", "top_k": "top_k_feedback",
+    "truncate": "prompt_doc_truncation", "lambda_": "lambda_", "depth": "retrieval_depth",
+    "mode": "mode", "accumulation_enabled": "accumulation_enabled",
+    "filter_enabled": "filter_enabled",
+}
+GENERATION_KEYS = {"thinking_mode": "thinking_mode", "temperature": "temperature"}
+MOCK_KEYS = {"mock_mode": "mode", "fixed_text": "fixed_text", "seed": "seed"}
 
 
 def _resolve_run_config(config_path, kwargs) -> dict:
     file_cfg = _load_config_file(config_path)
+    mock = MockBackend()
     defaults = {
-        "rounds": 3, "samples": 2, "top_k": 5, "truncate": 128, "lambda_": 3.0,
-        "depth": 1000, "mode": "interaction", "backend": "mock",
-        "mock_mode": "echo_terms", "fixed_text": "mock expansion", "seed": 0,
-        "base_url": "", "model": "", "key_env": "ITERQE_API_KEY",
-        "thinking_mode": "think", "temperature": 0.7,
+        **{key: getattr(PipelineConfig, f) for key, f in PIPELINE_KEYS.items()},
+        **{key: getattr(GenerationParams, f) for key, f in GENERATION_KEYS.items()},
+        **{key: getattr(mock, f) for key, f in MOCK_KEYS.items()},
+        "backend": "mock", "base_url": "", "model": "", "key_env": "ITERQE_API_KEY",
     }
-    cfg = {}
-    for key, default in defaults.items():
-        cfg[key] = _resolve(kwargs.get(key), file_cfg, key, default)
-    cfg["accumulation_enabled"] = not kwargs.get("no_accumulation") and file_cfg.get(
-        "accumulation_enabled", True
-    )
-    cfg["filter_enabled"] = not kwargs.get("no_filter") and file_cfg.get(
-        "filter_enabled", True
-    )
+    cfg = {key: _resolve(kwargs.get(key), file_cfg, key, default)
+           for key, default in defaults.items()}
+    cfg["accumulation_enabled"] = not kwargs.get("no_accumulation") and cfg["accumulation_enabled"]
+    cfg["filter_enabled"] = not kwargs.get("no_filter") and cfg["filter_enabled"]
     if cfg["backend"] == "http" and not cfg["base_url"]:
         raise click.ClickException("--base-url is required with the http backend")
     return cfg
 
 
-def _execute_batch(corpus, index, queries, cfg, out_dir, run_name, workers=1):
+def _build_run(cfg: dict):
+    """Pipeline config, generation parameters and backend; a bad value fails here."""
+    try:
+        pipe_cfg = PipelineConfig(**{f: cfg[key] for key, f in PIPELINE_KEYS.items()})
+        gen_params = GenerationParams(**{f: cfg[key] for key, f in GENERATION_KEYS.items()})
+        if cfg["backend"] == "mock":
+            backend = MockBackend(**{f: cfg[key] for key, f in MOCK_KEYS.items()})
+        else:
+            api_key = os.environ.get(cfg["key_env"], "") if cfg["key_env"] else ""
+            backend = ChatCompletionsBackend(
+                base_url=cfg["base_url"], model=cfg["model"], api_key=api_key
+            )
+    except (TypeError, ValueError) as exc:
+        raise click.ClickException(f"invalid run configuration: {exc}")
+    return pipe_cfg, gen_params, backend
+
+
+def _load_inputs(corpus_path, fmt, index_path, queries_path):
+    try:
+        corpus = ingest_corpus(corpus_path, fmt)
+        index = PostingIndex.load(index_path)
+    except (CorpusFormatError, ValueError, OSError) as exc:
+        raise click.ClickException(str(exc))
+    return corpus, index, _read_queries(queries_path)
+
+
+def _execute_batch(corpus, index, queries, cfg, pipe_cfg, gen_params, backend,
+                   out_dir, run_name, workers=1):
     """Run the pipeline over all queries and write run/trace/metadata files."""
     os.makedirs(out_dir, exist_ok=True)
-    pipe_cfg = PipelineConfig(
-        rounds=cfg["rounds"],
-        top_k_feedback=cfg["top_k"],
-        prompt_doc_truncation=cfg["truncate"],
-        samples_per_round=cfg["samples"],
-        lambda_=cfg["lambda_"],
-        mode=cfg["mode"],
-        accumulation_enabled=cfg["accumulation_enabled"],
-        filter_enabled=cfg["filter_enabled"],
-        retrieval_depth=cfg["depth"],
-    )
-    gen_params = GenerationParams(
-        temperature=cfg["temperature"], thinking_mode=cfg["thinking_mode"]
-    )
-    backend = _build_backend(cfg)
 
     def one(item):
         qid, text = item
@@ -214,11 +225,10 @@ def cmd_run(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
             workers, run_name, **kwargs):
     """Execute the expansion pipeline over a query set and write a TREC run."""
     cfg = _resolve_run_config(config_path, kwargs)
-    corpus = ingest_corpus(corpus_path, fmt)
-    index = PostingIndex.load(index_path)
-    queries = _read_queries(queries_path)
+    pipe_cfg, gen_params, backend = _build_run(cfg)
+    corpus, index, queries = _load_inputs(corpus_path, fmt, index_path, queries_path)
     run_path, metadata = _execute_batch(
-        corpus, index, queries, cfg, out_dir, run_name, workers
+        corpus, index, queries, cfg, pipe_cfg, gen_params, backend, out_dir, run_name, workers
     )
     click.echo(
         f"wrote {run_path} ({metadata['query_count']} queries, "
@@ -272,16 +282,18 @@ def cmd_ablate(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
     if unknown:
         raise click.ClickException(f"unknown ablation cells: {', '.join(unknown)}")
     base_cfg = _resolve_run_config(config_path, kwargs)
-    corpus = ingest_corpus(corpus_path, fmt)
-    index = PostingIndex.load(index_path)
-    queries = _read_queries(queries_path)
+    cell_runs = []
+    for cell in cell_names:
+        cfg = {**base_cfg, **ABLATION_CELLS[cell]}
+        cell_runs.append((cell, cfg, *_build_run(cfg)))
+    corpus, index, queries = _load_inputs(corpus_path, fmt, index_path, queries_path)
     qrels = Qrels.read(qrels_path) if qrels_path else None
 
     summary = []
-    for cell in cell_names:
-        cfg = {**base_cfg, **ABLATION_CELLS[cell]}
+    for cell, cfg, pipe_cfg, gen_params, backend in cell_runs:
         run_path, metadata = _execute_batch(
-            corpus, index, queries, cfg, out_dir, f"ablate_{cell}", workers
+            corpus, index, queries, cfg, pipe_cfg, gen_params, backend,
+            out_dir, f"ablate_{cell}", workers
         )
         row = {"cell": cell, "run": run_path,
                "generation_calls": metadata["generation_calls"]}

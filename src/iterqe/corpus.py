@@ -21,7 +21,6 @@ class Corpus:
     """Immutable-after-ingestion document collection with id lookup."""
 
     docs: list[Document] = field(default_factory=list)
-    source_path: str = ""
     _by_id: dict[str, Document] = field(default_factory=dict, repr=False)
 
     @property
@@ -30,9 +29,6 @@ class Corpus:
 
     def get(self, doc_id: str) -> Document:
         return self._by_id[doc_id]
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._by_id
 
     def __iter__(self):
         return iter(self.docs)
@@ -52,7 +48,7 @@ def ingest_corpus(path: str, fmt: str = "jsonl") -> Corpus:
     """Load a corpus file; jsonl rows need "id"/"contents", tsv rows are id<TAB>text."""
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unknown corpus format {fmt!r}")
-    corpus = Corpus(source_path=str(path))
+    corpus = Corpus()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():

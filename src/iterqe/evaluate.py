@@ -47,22 +47,22 @@ class Qrels:
 class RunFile:
     """Per-query ranked doc lists with scores, TREC run-file semantics."""
 
-    rankings: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+    rankings: dict[str, dict[str, float]] = field(default_factory=dict)
     tag: str = "iterqe"
 
     def add(self, query_id: str, doc_id: str, score: float) -> None:
-        ranking = self.rankings.setdefault(query_id, [])
-        if any(d == doc_id for d, _ in ranking):
+        ranking = self.rankings.setdefault(query_id, {})
+        if doc_id in ranking:
             raise ValueError(f"duplicate doc {doc_id!r} for query {query_id!r}")
-        ranking.append((doc_id, score))
+        ranking[doc_id] = score
 
     def doc_ids(self, query_id: str) -> list[str]:
-        return [d for d, _ in self.rankings.get(query_id, [])]
+        return list(self.rankings.get(query_id, ()))
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for qid in sorted(self.rankings):
-                for rank, (docid, score) in enumerate(self.rankings[qid], 1):
+                for rank, (docid, score) in enumerate(self.rankings[qid].items(), 1):
                     fh.write(f"{qid} Q0 {docid} {rank} {score:.6f} {self.tag}\n")
 
     @classmethod

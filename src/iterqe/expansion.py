@@ -7,7 +7,7 @@ import random
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import requests
 
@@ -18,6 +18,7 @@ log = logging.getLogger(__name__)
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
 NO_THINK_PREFILL = "<think>Okay, I think I have finished thinking.</think>"
+MOCK_ECHO_TERMS = 8  # most frequent passage terms the echo_terms mock answers with
 
 PROMPT_HEADER = (
     'Given a question "{query}" and its possible answering passages '
@@ -111,15 +112,13 @@ class ChatCompletionsBackend(ExpansionBackend):
 
     def __init__(self, base_url: str, model: str, api_key: str = "",
                  timeout: float = 120.0, max_attempts: int = 3,
-                 session: requests.Session | None = None,
-                 trace: "TraceLogger | None" = None):
+                 session: requests.Session | None = None):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.session = session or requests.Session()
-        self.trace = trace
         self.generation_calls = 0
 
     def describe(self) -> dict:
@@ -149,8 +148,7 @@ class ChatCompletionsBackend(ExpansionBackend):
         raise GenerationError(f"backend unreachable after {self.max_attempts} attempts: {last_error}")
 
     def generate(self, inputs: PromptInputs, params: GenerationParams) -> list[ExpansionResponse]:
-        prompt = build_prompt(inputs)
-        messages = [{"role": "user", "content": prompt}]
+        messages = [{"role": "user", "content": build_prompt(inputs)}]
         prefilled = params.thinking_mode == "no_think_prefill"
         if prefilled:
             messages.append({"role": "assistant", "content": NO_THINK_PREFILL})
@@ -161,14 +159,7 @@ class ChatCompletionsBackend(ExpansionBackend):
             "n": params.num_samples,
             "max_tokens": params.max_output_tokens,
         }
-        started = time.monotonic()
         payload = self._post(body)
-        if self.trace is not None:
-            self.trace.record({
-                "prompt": prompt,
-                "raw": [c["message"]["content"] for c in payload.get("choices", [])],
-                "latency_s": round(time.monotonic() - started, 3),
-            })
         responses = []
         for choice in payload.get("choices", []):
             raw = choice["message"]["content"]
@@ -192,13 +183,12 @@ class MockBackend(ExpansionBackend):
     """Deterministic offline backend for tests and reproducible runs."""
 
     def __init__(self, mode: str = "echo_terms", seed: int = 0,
-                 fixed_text: str = "mock expansion", top_terms: int = 8):
+                 fixed_text: str = "mock expansion"):
         if mode not in ("echo_terms", "fixed_text"):
             raise ValueError(f"unknown mock mode {mode!r}")
         self.mode = mode
         self.seed = seed
         self.fixed_text = fixed_text
-        self.top_terms = top_terms
         self.generation_calls = 0
 
     def describe(self) -> dict:
@@ -211,7 +201,7 @@ class MockBackend(ExpansionBackend):
                 if tok not in STOPWORDS:
                     counts[tok] += 1
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        terms = [t for t, _ in ranked[: self.top_terms]]
+        terms = [t for t, _ in ranked[:MOCK_ECHO_TERMS]]
         if not terms:
             return inputs.query
         rng = random.Random((self.seed, inputs.query, len(inputs.passages)).__repr__())
@@ -224,27 +214,3 @@ class MockBackend(ExpansionBackend):
         raw = f"{THINK_OPEN}{thinking}{THINK_CLOSE}{answer}" if thinking else answer
         self.generation_calls += params.num_samples
         return [ExpansionResponse(thinking, answer, raw) for _ in range(params.num_samples)]
-
-
-def mock_generate(inputs: PromptInputs, seed: int = 0, mode: str = "echo_terms",
-                  num_samples: int = 2, fixed_text: str = "mock expansion") -> list[ExpansionResponse]:
-    """One-shot convenience wrapper over MockBackend."""
-    backend = MockBackend(mode=mode, seed=seed, fixed_text=fixed_text)
-    return backend.generate(
-        inputs, GenerationParams(num_samples=num_samples, thinking_mode="base_model")
-    )
-
-
-@dataclass
-class TraceLogger:
-    """Optional JSONL audit log of request/response pairs."""
-
-    path: str
-    _fh: object = field(default=None, repr=False)
-
-    def record(self, entry: dict) -> None:
-        import json
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(entry) + "\n")
-        self._fh.flush()

@@ -103,25 +103,6 @@ def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingInde
     return PostingIndex(term_postings, doc_lengths, doc_ids, params or Bm25Params())
 
 
-def bm25_score(index: PostingIndex, query_terms: list[str], doc_ordinal: int) -> float:
-    """Okapi BM25 score of one document; query terms count with multiplicity."""
-    k1, b = index.params.k1, index.params.b
-    doclen = index.doc_lengths[doc_ordinal]
-    avgdl = index.avg_doc_length or 1.0
-    norm = k1 * (1.0 - b + b * doclen / avgdl)
-    score = 0.0
-    for term in query_terms:
-        tf = 0
-        for d, f in index.term_postings.get(term, ()):
-            if d == doc_ordinal:
-                tf = f
-                break
-        if tf == 0:
-            continue
-        score += index.idf(term) * (tf * (k1 + 1.0)) / (tf + norm)
-    return score
-
-
 def search_topk(index: PostingIndex, query_text: str, k: int) -> list[ScoredHit]:
     """Top-k BM25 hits, score descending, ties by doc_id ascending; zero scores dropped."""
     if k < 1:

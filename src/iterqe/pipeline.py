@@ -31,6 +31,10 @@ class PipelineConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.lambda_ <= 0:
             raise ValueError("lambda must be positive")
+        for name in ("top_k_feedback", "prompt_doc_truncation", "samples_per_round",
+                     "retrieval_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -93,10 +97,6 @@ def filter_feedback(
     return feedback, blacklist | newly_blacklisted
 
 
-def _feedback_passages(corpus: Corpus, doc_ids: list[str], max_tokens: int) -> tuple[str, ...]:
-    return tuple(truncate_text(corpus.get(d).text, max_tokens) for d in doc_ids)
-
-
 def run_round(
     state: QueryState,
     corpus: Corpus,
@@ -118,7 +118,9 @@ def run_round(
         new_blacklist = set(state.blacklist)
     if not feedback:
         log.warning("round %d: no feedback documents survived filtering", state.round)
-    passages = _feedback_passages(corpus, feedback, config.prompt_doc_truncation)
+    passages = tuple(
+        truncate_text(corpus.get(d).text, config.prompt_doc_truncation) for d in feedback
+    )
     # the generator always sees the original query, never the rendered one
     inputs = PromptInputs(query=state.q0, passages=passages)
     responses = backend.generate(
@@ -158,35 +160,18 @@ def run_pipeline(
     """Full expansion run for one query; returns final ranking and per-round trace."""
     if not q0.strip():
         raise ValueError("query must be non-empty")
-    gen_params = gen_params or GenerationParams()
     state = QueryState(q0=q0)
     trace: list[RoundRecord] = []
-    if config.mode == "interaction":
-        for _ in range(config.rounds):
-            state, record = run_round(state, corpus, index, backend, config, gen_params)
-            trace.append(record)
-    elif config.rounds > 0:
-        # parallel scaling: one retrieval, all generations in a single batch
-        retrieved = search_topk(index, q0, config.retrieval_depth)
-        feedback = [h.doc_id for h in retrieved[: config.top_k_feedback]]
-        passages = _feedback_passages(corpus, feedback, config.prompt_doc_truncation)
-        inputs = PromptInputs(query=q0, passages=passages)
-        total_samples = config.rounds * config.samples_per_round
-        responses = backend.generate(
-            inputs, replace(gen_params, num_samples=total_samples)
+    if config.mode == "parallel" and config.rounds > 0:
+        # compute-matched parallel scaling is one round from the initial retrieval
+        # with the whole sample budget; the blacklist and expansions are still
+        # empty, so filtering and accumulation change nothing
+        config = replace(
+            config, rounds=1, samples_per_round=config.rounds * config.samples_per_round
         )
-        segment = " ".join(r.answer_text for r in responses)
-        state = QueryState(q0=q0, expansions=[segment], prev_feedback=feedback, round=1)
-        trace.append(
-            RoundRecord(
-                round=0,
-                retrieved=retrieved,
-                feedback_docs=feedback,
-                rendered_query=q0,
-                expansion_segment=segment,
-                thinking_traces=[r.thinking_trace for r in responses],
-            )
-        )
+    for _ in range(config.rounds):
+        state, record = run_round(state, corpus, index, backend, config, gen_params)
+        trace.append(record)
     final_query = render_query(state, config.lambda_)
     final_hits = search_topk(index, final_query, config.retrieval_depth)
     # the final retrieval is part of the audit trail too

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -54,6 +55,12 @@ class TestIndexCommand:
                          "--out", str(workspace / "i.gz")])
         assert result.exit_code != 0
         assert "nope.jsonl" in result.output
+
+    def test_missing_output_directory(self, workspace):
+        result = invoke(["index", "--corpus", str(workspace / "corpus.jsonl"),
+                         "--out", str(workspace / "missing_dir" / "i.gz")])
+        assert result.exit_code != 0
+        assert "missing_dir" in result.output
 
     def test_refuses_overwrite_without_force(self, workspace):
         idx = build_index_file(workspace)
@@ -123,6 +130,46 @@ class TestRunCommand:
         assert meta["config"]["rounds"] == 1   # from file
         assert meta["config"]["samples"] == 2  # flag wins
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--samples", "0", "samples_per_round"),
+        ("--depth", "0", "retrieval_depth"),
+        ("--rounds", "-1", "rounds"),
+        ("--top-k", "0", "top_k_feedback"),
+        ("--truncate", "0", "prompt_doc_truncation"),
+    ])
+    def test_invalid_parameter_rejected_before_writing(self, workspace, flag, value, field):
+        idx = build_index_file(workspace)
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out, [flag, value]))
+        assert result.exit_code != 0
+        assert field in result.output
+        assert not out.exists()
+
+    def test_invalid_config_file_value_rejected(self, workspace):
+        idx = build_index_file(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"top_k": 0}))
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out, ["--config", str(cfg)]))
+        assert result.exit_code != 0
+        assert "top_k_feedback" in result.output
+        assert not out.exists()
+
+    def test_index_that_is_not_gzip(self, workspace):
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, workspace / "corpus.jsonl", out))
+        assert result.exit_code != 0
+        assert not out.exists()
+
+    def test_malformed_corpus(self, workspace):
+        idx = build_index_file(workspace)
+        (workspace / "corpus.jsonl").write_text('{"id": "a", "contents": "x"}\nnot json\n')
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out))
+        assert result.exit_code != 0
+        assert "line 2" in result.output
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_ideal_run(self, workspace):
@@ -185,6 +232,32 @@ class TestAblateCommand:
         assert "ablate_accum_only.run.txt" in files
         assert "ablate_full.run.txt" not in files
 
+    def test_invalid_parameter_rejected_before_writing(self, workspace):
+        idx = build_index_file(workspace)
+        out = workspace / "ablate_bad"
+        result = invoke(["ablate",
+                         "--corpus", str(workspace / "corpus.jsonl"),
+                         "--index", str(idx),
+                         "--queries", str(workspace / "queries.tsv"),
+                         "--out-dir", str(out),
+                         "--samples", "0"])
+        assert result.exit_code != 0
+        assert "samples_per_round" in result.output
+        assert not out.exists()
+
+    def test_malformed_corpus(self, workspace):
+        idx = build_index_file(workspace)
+        (workspace / "corpus.jsonl").write_text("not json\n")
+        out = workspace / "ablate_bad"
+        result = invoke(["ablate",
+                         "--corpus", str(workspace / "corpus.jsonl"),
+                         "--index", str(idx),
+                         "--queries", str(workspace / "queries.tsv"),
+                         "--out-dir", str(out)])
+        assert result.exit_code != 0
+        assert "line 1" in result.output
+        assert not out.exists()
+
     def test_unknown_cell(self, workspace):
         idx = build_index_file(workspace)
         result = invoke(["ablate",
@@ -195,3 +268,64 @@ class TestAblateCommand:
                          "--cells", "bogus"])
         assert result.exit_code != 0
         assert "bogus" in result.output
+
+
+# sha256 of every run, trace and metadata file that `run` and `ablate` write on
+# the workspace fixture. A change that alters these outputs on purpose updates
+# the constants and says so in CHANGES.md.
+BYTE_IDENTITY_CASES = {
+    "interaction-3x2": (["run", "--mode", "interaction", "--rounds", "3", "--samples", "2"], {
+        "iterqe.metadata.json": "556f09ac0ef1264ffe24f062887bb6b2b386dd7f51cfd96cf7a52c5da5b7178b",
+        "iterqe.run.txt": "29c9420a42f98c136be874c38b466938d0e42e184b3d723a2577f1c76ac81d31",
+        "iterqe.trace.jsonl": "7e461c48e074f90657163a30c494d226f4fb486fee26ba59d40358a36bd7174d",
+    }),
+    "interaction-2x3": (["run", "--mode", "interaction", "--rounds", "2", "--samples", "3"], {
+        "iterqe.metadata.json": "fe72997c1bf5083485056b8b87792d0df49eaa4a4b9ee794b113cd508ef3886f",
+        "iterqe.run.txt": "e2af7984ac5a1fa64fbab621b4ae2e6c87ee9900331adb5af8b65da812d3e789",
+        "iterqe.trace.jsonl": "0ae18a3786401843c6812ef345a786c2067de28b58fa7ab8f23ff65acb18a575",
+    }),
+    "parallel-3x2": (["run", "--mode", "parallel", "--rounds", "3", "--samples", "2"], {
+        "iterqe.metadata.json": "b5ff12f8601e125ad44014ef10571aa44b4785339f5a0ca44d5ea3d6fcfb6783",
+        "iterqe.run.txt": "bf994b35a7c28f9518bb3c4a3368cb37b7614648a37c6b22adda071c63924748",
+        "iterqe.trace.jsonl": "d23a0fc9fd96552924701a509bfe607c8c01b92b458c5bad88ab7a860021c5c8",
+    }),
+    "parallel-2x3": (["run", "--mode", "parallel", "--rounds", "2", "--samples", "3"], {
+        "iterqe.metadata.json": "32746cbc430961e151e92d4af6e03f9eb56afdda758b6ad9af2dd7c5e15fc63c",
+        "iterqe.run.txt": "bf994b35a7c28f9518bb3c4a3368cb37b7614648a37c6b22adda071c63924748",
+        "iterqe.trace.jsonl": "d23a0fc9fd96552924701a509bfe607c8c01b92b458c5bad88ab7a860021c5c8",
+    }),
+    "ablate": (["ablate", "--qrels", "QRELS"], {
+        "ablate_accum_only.metadata.json": "e37d3b85534ecd91854744d7e6946aa9fb47149dc2f1ccfdc9de7f0d02ec4a0c",
+        "ablate_accum_only.run.txt": "a65825a9ae01dc572170196418593590a331dabaa221e39f15dc012b9d03f96c",
+        "ablate_accum_only.trace.jsonl": "d643ec676eeee69e61565fb5c9fc0a17fadbc3371bf1f09288bbecf9afe2577c",
+        "ablate_filter_only.metadata.json": "ed349fe7245836c40177c0ef947df6bac5037096e0e3d69cc2f81f871a32df7d",
+        "ablate_filter_only.run.txt": "5555f539bab914f1b8fe1fd217fedb3704a2d9008346399475becc9b94a468bb",
+        "ablate_filter_only.trace.jsonl": "b4cf402a4120ac7924a10ed70772d564e41c14cbcce9ee184e89d6638fef96d0",
+        "ablate_full.metadata.json": "54f22484fbc374d187febd26d081bb5d8a5eb54810a8dcc18d169b82600d1efe",
+        "ablate_full.run.txt": "dc9210959699b857e7ba51896dc5b01570ce5b504d9053752df48a52d1594936",
+        "ablate_full.trace.jsonl": "7e461c48e074f90657163a30c494d226f4fb486fee26ba59d40358a36bd7174d",
+        "ablate_parallel.metadata.json": "b8d570d318fb2e74345e001ff072a512e080e6c3e680c98d707ee0dbece28d0a",
+        "ablate_parallel.run.txt": "afb77d1a9dae25b82dcb64f7b9da212eb8b7ab00fec9cf7e5d6bf9a8c12eb084",
+        "ablate_parallel.trace.jsonl": "d23a0fc9fd96552924701a509bfe607c8c01b92b458c5bad88ab7a860021c5c8",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_IDENTITY_CASES))
+def test_outputs_byte_identical(workspace, case):
+    command, expected = BYTE_IDENTITY_CASES[case]
+    idx = build_index_file(workspace)
+    out = workspace / "out"
+    extra = [str(workspace / "qrels.txt") if a == "QRELS" else a for a in command[1:]]
+    result = invoke([command[0],
+                     "--corpus", str(workspace / "corpus.jsonl"),
+                     "--index", str(idx),
+                     "--queries", str(workspace / "queries.tsv"),
+                     "--out-dir", str(out), *extra])
+    assert result.exit_code == 0, result.output
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(out))
+        if name.endswith((".run.txt", ".trace.jsonl", ".metadata.json"))
+    }
+    assert digests == expected

@@ -9,9 +9,10 @@ from iterqe.expansion import (
     MockBackend,
     PromptInputs,
     build_prompt,
-    mock_generate,
     strip_thinking,
 )
+
+BASE_MODEL = GenerationParams(thinking_mode="base_model")
 
 GOLDEN_PROMPT = (
     'Given a question "q" and its possible answering passages '
@@ -81,24 +82,26 @@ class TestStripThinking:
 
 class TestMockBackend:
     def test_fixed_text(self):
-        responses = mock_generate(
-            PromptInputs("q", ("p",)), mode="fixed_text", fixed_text="hello"
+        responses = MockBackend(mode="fixed_text", fixed_text="hello").generate(
+            PromptInputs("q", ("p",)), BASE_MODEL
         )
         assert all(r.answer_text == "hello" for r in responses)
 
     def test_deterministic(self):
         inputs = PromptInputs("grays harbor", ("grays bay water", "bay tide"))
-        a = mock_generate(inputs, seed=7)
-        b = mock_generate(inputs, seed=7)
+        a = MockBackend(seed=7).generate(inputs, BASE_MODEL)
+        b = MockBackend(seed=7).generate(inputs, BASE_MODEL)
         assert a == b
 
     def test_echo_most_frequent_term(self):
-        responses = mock_generate(PromptInputs("q", ("alpha beta alpha",)), mode="echo_terms")
+        responses = MockBackend(mode="echo_terms").generate(
+            PromptInputs("q", ("alpha beta alpha",)), BASE_MODEL
+        )
         assert "alpha" in responses[0].answer_text
 
     def test_echo_contains_passage_terms(self):
         inputs = PromptInputs("q", ("grays bay exploration", "grays bay tide"))
-        responses = mock_generate(inputs)
+        responses = MockBackend().generate(inputs, BASE_MODEL)
         assert "grays" in responses[0].answer_text
         assert "bay" in responses[0].answer_text
 
