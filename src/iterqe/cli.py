@@ -81,7 +81,7 @@ def cmd_index(corpus_path, fmt, out_path, k1, b, force):
         raise click.ClickException(str(exc))
     index.save(out_path)
     click.echo(
-        f"indexed doc_count={index.doc_count} term_count={len(index.term_postings)} "
+        f"indexed doc_count={index.doc_count} term_count={len(index.terms)} "
         f"avg_doc_length={index.avg_doc_length:.2f} -> {out_path}"
     )
 

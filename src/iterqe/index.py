@@ -1,19 +1,33 @@
-"""Inverted index with Okapi BM25 scoring (Lucene-style idf, k1=0.9, b=0.4)."""
+"""Inverted index with Okapi BM25 scoring (Lucene-style idf, k1=0.9, b=0.4).
+
+Postings are held in CSR arrays: the postings of the term in row ``r`` are
+the slice ``offsets[r]:offsets[r + 1]`` of ``doc_ordinals``, ``tfs`` and
+``impacts``. A posting's impact is its whole BM25 contribution,
+``idf * tf(k1 + 1) / (tf + norm)``, computed once when the index is built or
+loaded, so a search is a scatter-add of query multiplicity x impact over all
+documents (the eager sparse scoring of BM25S, Lù 2024, arXiv:2407.03618).
+"""
 
 from __future__ import annotations
 
-import contextlib
-import gc
-import gzip
-import json
 import math
-from dataclasses import dataclass, field
+import zipfile
+import zlib
+from array import array
+from dataclasses import dataclass
+
+import numpy as np
 
 from .analysis import analyze
 from .corpus import Corpus
 
 INDEX_FORMAT = "iterqe-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+_GZIP_MAGIC = b"\x1f\x8b"
+_ZIP_MAGIC = b"PK\x03\x04"  # np.savez writes a zip archive
+# the arrays of an index file besides its format and version
+_ARRAYS = {"params", "term_bytes", "term_offsets", "doc_id_bytes", "doc_id_offsets",
+           "offsets", "doc_ordinals", "tfs", "doc_lengths"}
 
 
 @dataclass(frozen=True)
@@ -36,82 +50,138 @@ class ScoredHit:
     rank: int
 
 
-@dataclass
 class PostingIndex:
-    """term -> sorted (doc_ordinal, tf) postings plus the length statistics BM25 needs."""
+    """Postings in CSR layout plus the per-posting BM25 impacts derived from them."""
 
-    term_postings: dict[str, list[tuple[int, int]]]
-    doc_lengths: list[int]
-    doc_ids: list[str]
-    params: Bm25Params = field(default_factory=Bm25Params)
+    def __init__(self, terms: list[str], offsets: np.ndarray, doc_ordinals: np.ndarray,
+                 tfs: np.ndarray, doc_lengths: np.ndarray, doc_ids: list[str],
+                 params: Bm25Params | None = None):
+        self.terms = terms
+        self.term_rows = {t: row for row, t in enumerate(terms)}
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.doc_ordinals = np.asarray(doc_ordinals, dtype=np.int32)
+        self.tfs = np.asarray(tfs, dtype=np.int32)
+        self.doc_lengths = np.asarray(doc_lengths, dtype=np.int32)
+        self.doc_ids = doc_ids
+        self.params = params or Bm25Params()
+        self.avg_doc_length = int(self.doc_lengths.sum(dtype=np.int64)) / self.doc_count
+        # Position of each document in doc_id order, the tie-break of a ranking.
+        self.doc_id_ranks = np.empty(self.doc_count, dtype=np.int64)
+        self.doc_id_ranks[sorted(range(self.doc_count), key=doc_ids.__getitem__)] = \
+            np.arange(self.doc_count)
+        self.impacts = self._impacts()
+
+    def _impacts(self) -> np.ndarray:
+        # idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avgdl)), evaluated
+        # in place to hold two float arrays at a time, with the grouping of the
+        # scalar formula (IEEE + and * commute), so that every impact equals it
+        # bit for bit; math.log too, because np.log may round differently.
+        k1, b = self.params.k1, self.params.b
+        avgdl = self.avg_doc_length or 1.0
+        n = self.doc_count
+        dfs = np.diff(self.offsets)
+        idf = np.array([math.log(1.0 + (n - df + 0.5) / (df + 0.5)) for df in dfs.tolist()],
+                       dtype=np.float64)
+        denominator = self.doc_lengths[self.doc_ordinals].astype(np.float64)
+        denominator *= b
+        denominator /= avgdl
+        denominator += 1.0 - b
+        denominator *= k1
+        impacts = self.tfs.astype(np.float64)
+        denominator += impacts
+        impacts *= k1 + 1.0
+        impacts *= np.repeat(idf, dfs)
+        impacts /= denominator
+        return impacts
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
 
-    @property
-    def avg_doc_length(self) -> float:
-        return sum(self.doc_lengths) / self.doc_count
-
-    def idf(self, term: str) -> float:
-        df = len(self.term_postings.get(term, ()))
-        n = self.doc_count
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+    def postings(self, term: str) -> list[tuple[int, int]]:
+        """``(doc_ordinal, tf)`` pairs of a term, by ascending ordinal."""
+        row = self.term_rows.get(term)
+        if row is None:
+            return []
+        lo, hi = self.offsets[row], self.offsets[row + 1]
+        return list(zip(self.doc_ordinals[lo:hi].tolist(), self.tfs[lo:hi].tolist()))
 
     def save(self, path: str) -> None:
-        payload = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "params": {"k1": self.params.k1, "b": self.params.b},
-            "doc_ids": self.doc_ids,
-            "doc_lengths": self.doc_lengths,
-            "term_postings": {t: [list(p) for p in ps] for t, ps in self.term_postings.items()},
-        }
-        with gzip.open(path, "wt", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        term_bytes, term_offsets = _encode_strings(self.terms)
+        id_bytes, id_offsets = _encode_strings(self.doc_ids)
+        # An open handle keeps the path as given; np.savez would append ".npz".
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh,
+                format=np.frombuffer(INDEX_FORMAT.encode(), dtype=np.uint8),
+                version=np.array([INDEX_VERSION], dtype=np.int64),
+                params=np.array([self.params.k1, self.params.b], dtype=np.float64),
+                term_bytes=term_bytes, term_offsets=term_offsets,
+                doc_id_bytes=id_bytes, doc_id_offsets=id_offsets,
+                offsets=self.offsets, doc_ordinals=self.doc_ordinals, tfs=self.tfs,
+                doc_lengths=self.doc_lengths,
+            )
 
     @classmethod
     def load(cls, path: str) -> "PostingIndex":
-        # The payload is acyclic, so collection passes while it is built
-        # could free nothing; they would only walk every posting again.
-        with _gc_paused():
-            with gzip.open(path, "rt", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if payload.get("format") != INDEX_FORMAT:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic.startswith(_GZIP_MAGIC):
+                raise ValueError(
+                    f"{path}: not an index file of version {INDEX_VERSION}; gzip JSON is "
+                    f"index format version 1, which is no longer read: rebuild the index "
+                    f"with `iterqe index`"
+                )
+            if magic != _ZIP_MAGIC:
                 raise ValueError(f"{path}: not an index file")
-            if payload.get("version") != INDEX_VERSION:
-                raise ValueError(f"{path}: unsupported index version {payload.get('version')}")
-            postings = payload["term_postings"]
-            # In place, so that each term's parsed lists are freed as its
-            # tuples are made: the load's peak memory is that of one copy.
-            for t in postings:
-                postings[t] = [tuple(p) for p in postings[t]]
-            return cls(
-                term_postings=postings,
-                doc_lengths=payload["doc_lengths"],
-                doc_ids=payload["doc_ids"],
-                params=Bm25Params(**payload["params"]),
-            )
+            fh.seek(0)
+            try:
+                with np.load(fh, allow_pickle=False) as npz:
+                    arrays = {name: npz[name] for name in npz.files}
+            except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+                raise ValueError(f"{path}: not an index file ({exc})") from None
+        if "format" not in arrays or arrays["format"].tobytes() != INDEX_FORMAT.encode():
+            raise ValueError(f"{path}: not an index file")
+        version = arrays["version"].tolist() if "version" in arrays else None
+        if version != [INDEX_VERSION]:
+            raise ValueError(f"{path}: unsupported index version {version}")
+        missing = sorted(_ARRAYS - set(arrays))
+        if missing:
+            raise ValueError(f"{path}: index file lacks {', '.join(missing)}")
+        k1, b = arrays["params"].tolist()
+        return cls(
+            terms=_decode_strings(arrays["term_bytes"], arrays["term_offsets"]),
+            offsets=arrays["offsets"],
+            doc_ordinals=arrays["doc_ordinals"],
+            tfs=arrays["tfs"],
+            doc_lengths=arrays["doc_lengths"],
+            doc_ids=_decode_strings(arrays["doc_id_bytes"], arrays["doc_id_offsets"]),
+            params=Bm25Params(k1=k1, b=b),
+        )
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Suspend cyclic garbage collection, restoring it only if it was on."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+def _encode_strings(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """UTF-8 bytes of all strings, concatenated, and each string's byte offsets."""
+    encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(e) for e in encoded], out=offsets[1:])
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+
+
+def _decode_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
+    data = blob.tobytes()
+    bounds = offsets.tolist()
+    return [data[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(bounds, bounds[1:])]
 
 
 def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingIndex:
-    """Analyze every document and build sorted postings."""
+    """Analyze every document and build postings sorted by term row, then ordinal."""
     if corpus.doc_count == 0:
         raise ValueError("cannot index an empty corpus")
-    term_postings: dict[str, list[tuple[int, int]]] = {}
-    doc_lengths: list[int] = []
+    term_rows: dict[str, int] = {}
+    # one entry per (document, distinct term), in document order
+    rows, ordinals, tfs = array("i"), array("i"), array("i")
+    doc_lengths = array("i")
     doc_ids: list[str] = []
     for ordinal, doc in enumerate(corpus):
         terms = analyze(doc.text)
@@ -120,41 +190,52 @@ def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingInde
         counts: dict[str, int] = {}
         for t in terms:
             counts[t] = counts.get(t, 0) + 1
-        # ordinals increase monotonically, so appends keep postings sorted
         for t, tf in counts.items():
-            term_postings.setdefault(t, []).append((ordinal, tf))
-    return PostingIndex(term_postings, doc_lengths, doc_ids, params or Bm25Params())
+            rows.append(term_rows.setdefault(t, len(term_rows)))
+            ordinals.append(ordinal)
+            tfs.append(tf)
+    row_of = np.frombuffer(rows, dtype=np.int32)
+    # a stable sort by row keeps each term's postings in ascending ordinal order
+    order = np.argsort(row_of, kind="stable")
+    offsets = np.zeros(len(term_rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=len(term_rows)), out=offsets[1:])
+    sorted_ordinals = np.frombuffer(ordinals, dtype=np.int32)[order]
+    sorted_tfs = np.frombuffer(tfs, dtype=np.int32)[order]
+    # 20 bytes a posting, freed before the impacts are computed
+    del rows, ordinals, tfs, row_of, order
+    return PostingIndex(
+        terms=list(term_rows),
+        offsets=offsets,
+        doc_ordinals=sorted_ordinals,
+        tfs=sorted_tfs,
+        doc_lengths=np.frombuffer(doc_lengths, dtype=np.int32).copy(),
+        doc_ids=doc_ids,
+        params=params,
+    )
 
 
 def search_topk(index: PostingIndex, query_text: str, k: int) -> list[ScoredHit]:
     """Top-k BM25 hits, score descending, ties by doc_id ascending; zero scores dropped."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    query_terms = analyze(query_text)
-    if not query_terms:
-        return []
-    k1, b = index.params.k1, index.params.b
-    avgdl = index.avg_doc_length or 1.0
-    accum: dict[int, float] = {}
     term_counts: dict[str, int] = {}
-    for t in query_terms:
+    for t in analyze(query_text):
         term_counts[t] = term_counts.get(t, 0) + 1
+    scores = np.zeros(index.doc_count, dtype=np.float64)
+    # term by term in first-occurrence order, so that each document's sum is
+    # accumulated in the order of the BM25 definition
     for term, mult in term_counts.items():
-        postings = index.term_postings.get(term)
-        if not postings:
-            continue
-        idf = index.idf(term)
-        for ordinal, tf in postings:
-            norm = k1 * (1.0 - b + b * index.doc_lengths[ordinal] / avgdl)
-            contrib = idf * (tf * (k1 + 1.0)) / (tf + norm)
-            accum[ordinal] = accum.get(ordinal, 0.0) + mult * contrib
-    scored = [
-        (score, index.doc_ids[ordinal])
-        for ordinal, score in accum.items()
-        if score > 0.0
-    ]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
+        row = index.term_rows.get(term)
+        if row is not None:
+            lo, hi = index.offsets[row], index.offsets[row + 1]
+            scores[index.doc_ordinals[lo:hi]] += mult * index.impacts[lo:hi]
+    candidates = np.flatnonzero(scores > 0.0)
+    if candidates.size > k:
+        # keep every candidate tied with the k-th score; doc_id decides among them
+        kth = np.partition(scores[candidates], candidates.size - k)[candidates.size - k]
+        candidates = candidates[scores[candidates] >= kth]
+    top = candidates[np.lexsort((index.doc_id_ranks[candidates], -scores[candidates]))][:k]
     return [
-        ScoredHit(doc_id=doc_id, score=score, rank=i)
-        for i, (score, doc_id) in enumerate(scored[:k], 1)
+        ScoredHit(doc_id=index.doc_ids[ordinal], score=score, rank=i)
+        for i, (ordinal, score) in enumerate(zip(top.tolist(), scores[top].tolist()), 1)
     ]

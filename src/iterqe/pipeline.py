@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .corpus import Corpus, truncate_text
 from .expansion import ExpansionBackend, GenerationParams, PromptInputs
@@ -56,7 +56,17 @@ class RoundRecord:
     thinking_traces: list[str]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # built by hand: dataclasses.asdict deep-copies every hit of the ranking
+        return {
+            "round": self.round,
+            "retrieved": [
+                {"doc_id": h.doc_id, "score": h.score, "rank": h.rank} for h in self.retrieved
+            ],
+            "feedback_docs": self.feedback_docs,
+            "rendered_query": self.rendered_query,
+            "expansion_segment": self.expansion_segment,
+            "thinking_traces": self.thinking_traces,
+        }
 
 
 def word_count(text: str) -> int:

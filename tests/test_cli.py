@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import json
 import os
@@ -82,6 +83,16 @@ def run_args(workspace, idx, out_dir, extra=()):
             "--backend", "mock", *extra]
 
 
+def write_version_1_index(workspace):
+    """A gzip-JSON index as format version 1 wrote it."""
+    idx = workspace / "index.gz"
+    payload = {"format": "iterqe-index", "version": 1, "params": {"k1": 0.9, "b": 0.4},
+               "doc_ids": ["f1"], "doc_lengths": [1], "term_postings": {"zork": [[0, 1]]}}
+    with gzip.open(idx, "wt", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return idx
+
+
 class TestRunCommand:
     def test_call_accounting_interaction(self, workspace):
         idx = build_index_file(workspace)
@@ -159,6 +170,24 @@ class TestRunCommand:
         out = workspace / "out_bad"
         result = invoke(run_args(workspace, workspace / "corpus.jsonl", out))
         assert result.exit_code != 0
+        assert not out.exists()
+
+    def test_version_1_index_rejected_before_writing(self, workspace):
+        idx = write_version_1_index(workspace)
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out))
+        assert result.exit_code != 0
+        assert "version 1" in result.output
+        assert "iterqe index" in result.output
+        assert not out.exists()
+
+    def test_bogus_index_rejected_before_writing(self, workspace):
+        idx = workspace / "index.gz"
+        idx.write_bytes(b"PK\x03\x04 not really a zip archive")
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out))
+        assert result.exit_code != 0
+        assert "not an index file" in result.output
         assert not out.exists()
 
     def test_malformed_corpus(self, workspace):
@@ -256,6 +285,23 @@ class TestAblateCommand:
                          "--out-dir", str(out)])
         assert result.exit_code != 0
         assert "line 1" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version_1", [True, False])
+    def test_old_or_bogus_index_rejected_before_writing(self, workspace, version_1):
+        if version_1:
+            idx = write_version_1_index(workspace)
+        else:
+            idx = workspace / "bogus.idx"
+            idx.write_text("not an index\n")
+        out = workspace / "ablate_bad"
+        result = invoke(["ablate",
+                         "--corpus", str(workspace / "corpus.jsonl"),
+                         "--index", str(idx),
+                         "--queries", str(workspace / "queries.tsv"),
+                         "--out-dir", str(out)])
+        assert result.exit_code != 0
+        assert ("version 1" if version_1 else "not an index file") in result.output
         assert not out.exists()
 
     def test_unknown_cell(self, workspace):

@@ -1,9 +1,11 @@
-import gc
 import json
 import math
+import os
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import brute_force_ranking
 
 from iterqe.corpus import Corpus, Document
@@ -20,13 +22,13 @@ def make_corpus(texts):
 class TestBuild:
     def test_posting_counts(self):
         index = build_index(make_corpus(["alpha", "beta", "alpha"]))
-        assert len(index.term_postings["alpha"]) == 2
-        assert len(index.term_postings["beta"]) == 1
+        assert len(index.postings("alpha")) == 2
+        assert len(index.postings("beta")) == 1
         assert index.avg_doc_length == 1
 
     def test_term_frequency(self):
         index = build_index(make_corpus(["wax wax wax"]))
-        assert index.term_postings["wax"] == [(0, 3)]
+        assert index.postings("wax") == [(0, 3)]
 
     def test_avg_doc_length(self):
         index = build_index(make_corpus(["one two", "one two three four"]))
@@ -37,9 +39,15 @@ class TestBuild:
             build_index(make_corpus([]))
 
     def test_postings_sorted_unique(self):
-        texts = ["tok common", "common", "tok tok common"]
+        rng = random.Random(7)
+        # enough postings per term for an unstable sort to reorder them
+        texts = ["tok common", "common", "tok tok common"] + [
+            " ".join(rng.choices(["tok", "common", "rare", "other"], k=rng.randint(1, 6)))
+            for _ in range(500)
+        ]
         index = build_index(make_corpus(texts))
-        for postings in index.term_postings.values():
+        for term in index.terms:
+            postings = index.postings(term)
             ords = [d for d, _ in postings]
             assert ords == sorted(set(ords))
             for d, tf in postings:
@@ -156,20 +164,112 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not an index file"):
             PostingIndex.load(str(path))
 
-    def test_load_restores_garbage_collection(self, tmp_path):
+    def test_roundtrip_exact_path_strings_and_params(self, tmp_path):
+        doc_ids = ["line\nbreak", "caf\u00e9 \u2603", "nul\x00", "plain"]
+        texts = ["columbia river basin", "river boat", "columbia jacket", "river river"]
+        corpus = Corpus()
+        for i, (doc_id, text) in enumerate(zip(doc_ids, texts)):
+            corpus._add(Document(doc_id, text), i + 1)
+        index = build_index(corpus, Bm25Params(k1=1.2, b=0.75))
         path = tmp_path / "index.gz"
-        build_index(make_corpus(["columbia river"])).save(str(path))
-        bogus = tmp_path / "bogus.gz"
-        bogus.write_bytes(b"not gzip")
-        assert gc.isenabled()
-        PostingIndex.load(str(path))
-        assert gc.isenabled()
-        with pytest.raises(OSError):
-            PostingIndex.load(str(bogus))
-        assert gc.isenabled()
-        gc.disable()
-        try:
+        index.save(str(path))
+        assert sorted(os.listdir(tmp_path)) == ["index.gz"]
+        loaded = PostingIndex.load(str(path))
+        assert loaded.doc_ids == doc_ids
+        assert loaded.params == Bm25Params(k1=1.2, b=0.75)
+        assert loaded.terms == index.terms
+        assert np.array_equal(loaded.impacts, index.impacts)
+        for query in ("columbia", "river boat", "jacket river columbia", "absent"):
+            assert search_topk(loaded, query, 4) == search_topk(index, query, 4)
+
+    def test_rejects_version_1_file(self, tmp_path):
+        import gzip
+
+        path = tmp_path / "index.gz"
+        payload = {"format": "iterqe-index", "version": 1, "params": {"k1": 0.9, "b": 0.4},
+                   "doc_ids": ["d0"], "doc_lengths": [1], "term_postings": {"wax": [[0, 1]]}}
+        with gzip.open(path, "wt", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError, match="version 1") as info:
             PostingIndex.load(str(path))
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
+        assert "iterqe index" in str(info.value)
+
+    @pytest.mark.parametrize("content", [b"", b"not an index", b"PK\x03\x04 truncated zip"])
+    def test_rejects_bogus_file(self, tmp_path, content):
+        path = tmp_path / "index.gz"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="not an index file"):
+            PostingIndex.load(str(path))
+
+    def test_rejects_foreign_npz_and_other_versions(self, tmp_path):
+        foreign = tmp_path / "foreign.npz"
+        with open(foreign, "wb") as fh:
+            np.savez(fh, weights=np.ones(3))
+        with pytest.raises(ValueError, match="not an index file"):
+            PostingIndex.load(str(foreign))
+        future = tmp_path / "future.npz"
+        with open(future, "wb") as fh:
+            np.savez(fh, format=np.frombuffer(b"iterqe-index", dtype=np.uint8),
+                     version=np.array([3]))
+        with pytest.raises(ValueError, match="unsupported index version"):
+            PostingIndex.load(str(future))
+
+
+WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "the", "of"]
+
+
+class TestScatterAddMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.sampled_from(WORDS), max_size=8), min_size=1, max_size=14),
+        query=st.lists(st.sampled_from(WORDS + ["zeta", "omega"]), min_size=1, max_size=6),
+        k=st.integers(min_value=1, max_value=16),
+        params=st.sampled_from([Bm25Params(), Bm25Params(k1=1.2, b=0.75), Bm25Params(0, 1)]),
+    )
+    def test_random_corpora(self, docs, query, k, params):
+        # duplicate documents make tied blocks; query words repeat or are absent
+        texts = [" ".join(words) for words in docs]
+        doc_ids = [f"d{i}" for i in range(len(texts))]
+        index = build_index(make_corpus(texts), params)
+        query_text = " ".join(query)
+        hits = search_topk(index, query_text, k)
+        oracle = brute_force_ranking(texts, doc_ids, query_text, params.k1, params.b)[:k]
+        assert [h.doc_id for h in hits] == [d for _, d in oracle]
+        for hit, (score, _) in zip(hits, oracle):
+            assert hit.score == pytest.approx(score, rel=1e-9)
+
+    def test_tied_block_cut_at_k_keeps_smallest_doc_ids(self):
+        texts = ["wax"] + ["wax paper"] * 11 + ["paper"]
+        index = build_index(make_corpus(texts))
+        hits = search_topk(index, "wax", 4)
+        # d1..d11 tie; by doc_id "d10" and "d11" sort before "d2"
+        assert [h.doc_id for h in hits] == ["d0", "d1", "d10", "d11"]
+
+    def test_k_larger_than_matches(self):
+        index = build_index(make_corpus(["wax", "paper", "wax paper"]))
+        assert [h.doc_id for h in search_topk(index, "wax wax", 100)] == ["d0", "d2"]
+
+    def test_one_document_corpus(self):
+        index = build_index(make_corpus(["wax wax paper"]))
+        hits = search_topk(index, "paper wax absent", 3)
+        oracle = brute_force_ranking(["wax wax paper"], ["d0"], "paper wax absent")
+        assert [(h.doc_id, h.rank) for h in hits] == [("d0", 1)]
+        assert hits[0].score == pytest.approx(oracle[0][0], rel=1e-9)
+
+    def test_impacts_equal_the_scalar_formula_exactly(self):
+        # "river" in all 29 documents: an idf where np.log and math.log differ
+        # in the last bit on some builds
+        texts = [f"river basin{i} " + "columbia " * (i % 4) + "boat" * (i % 3 == 0)
+                 for i in range(29)]
+        index = build_index(make_corpus(texts), Bm25Params(k1=1.2, b=0.75))
+        k1, b = 1.2, 0.75
+        avgdl = sum(index.doc_lengths.tolist()) / index.doc_count
+        for term in index.terms:
+            postings = index.postings(term)
+            df = len(postings)
+            idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+            row = index.term_rows[term]
+            impacts = index.impacts[index.offsets[row]:index.offsets[row + 1]].tolist()
+            for (ordinal, tf), impact in zip(postings, impacts):
+                norm = k1 * (1.0 - b + b * int(index.doc_lengths[ordinal]) / avgdl)
+                assert impact == idf * (tf * (k1 + 1.0)) / (tf + norm)
