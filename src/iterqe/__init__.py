@@ -11,7 +11,7 @@ from .expansion import (
     build_prompt,
     strip_thinking,
 )
-from .index import Bm25Params, PostingIndex, ScoredHit, build_index, search_topk
+from .index import Bm25Params, PostingIndex, Ranking, ScoredHit, build_index, search_topk
 from .pipeline import (
     PipelineConfig,
     QueryState,

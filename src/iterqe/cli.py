@@ -176,30 +176,34 @@ def _load_inputs(corpus_path, fmt, index_path, queries_path):
 
 def _execute_batch(corpus, index, queries, cfg, pipe_cfg, gen_params, backend,
                    out_dir, run_name, workers=1):
-    """Run the pipeline over all queries and write run/trace/metadata files."""
+    """Run the pipeline over all queries and write run/trace/metadata files.
+
+    Queries run in qid order (a stable sort), and each query's trace lines
+    and run entries are written as soon as its result arrives, so the batch
+    holds no finished query's rankings.
+    """
     os.makedirs(out_dir, exist_ok=True)
 
     def one(item):
         qid, text = item
-        hits, trace = run_pipeline(text, corpus, index, backend, pipe_cfg, gen_params)
-        return qid, hits, trace
+        return run_pipeline(text, corpus, index, backend, pipe_cfg, gen_params)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, queries))
-    else:
-        results = [one(q) for q in queries]
-    results.sort(key=lambda r: r[0])
-
+    ordered = sorted(queries, key=lambda q: q[0])
     run = RunFile(tag=run_name)
     trace_path = os.path.join(out_dir, f"{run_name}.trace.jsonl")
     with open(trace_path, "w", encoding="utf-8") as tf:
-        for qid, hits, trace in results:
-            for hit in hits:
-                run.add(qid, hit.doc_id, hit.score)
-            for record in trace:
-                entry = {"query_id": qid, **record.to_dict()}
-                tf.write(json.dumps(entry) + "\n")
+
+        def write(results):
+            for (qid, _), (final, trace) in zip(ordered, results):
+                run.add_ranking(qid, final.doc_ids(), final.scores.tolist())
+                for record in trace:
+                    tf.write(record.trace_line(qid) + "\n")
+
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                write(pool.map(one, ordered))
+        else:
+            write(map(one, ordered))
     run_path = os.path.join(out_dir, f"{run_name}.run.txt")
     run.write(run_path)
 

@@ -56,6 +56,14 @@ class RunFile:
             raise ValueError(f"duplicate doc {doc_id!r} for query {query_id!r}")
         ranking[doc_id] = score
 
+    def add_ranking(self, query_id: str, doc_ids: list[str], scores: list[float]) -> None:
+        """Add a whole ranking, best first, after any docs the query already has."""
+        ranking = self.rankings.setdefault(query_id, {})
+        size = len(ranking)
+        ranking.update(zip(doc_ids, scores))
+        if len(ranking) != size + len(doc_ids):
+            raise ValueError(f"duplicate doc in the ranking for query {query_id!r}")
+
     def doc_ids(self, query_id: str) -> list[str]:
         return list(self.rankings.get(query_id, ()))
 

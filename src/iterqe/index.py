@@ -42,12 +42,56 @@ class Bm25Params:
             raise ValueError("b must lie in [0, 1]")
 
 
-# Slots: a run keeps every round's ranking, hundreds of thousands of hits.
 @dataclass(frozen=True, slots=True)
 class ScoredHit:
     doc_id: str
     score: float
     rank: int
+
+
+class Ranking:
+    """A top-k ranking as arrays: document ordinals and float64 scores, best first.
+
+    It names its documents through the index's ``doc_ids`` list, which it
+    shares, not copies. Iterating, indexing, slicing or comparing it with
+    ``==`` builds ``ScoredHit``s on demand; callers that only need the ids
+    or the scores read ``doc_ids()`` and ``scores``.
+    """
+
+    __slots__ = ("ordinals", "scores", "_names")
+
+    def __init__(self, ordinals: np.ndarray, scores: np.ndarray, names: list[str]):
+        self.ordinals = ordinals
+        self.scores = scores
+        self._names = names
+
+    def doc_ids(self, n: int | None = None) -> list[str]:
+        """The ranked doc ids, or the first ``n`` of them."""
+        names = self._names
+        return [names[o] for o in self.ordinals[:n].tolist()]
+
+    def __len__(self) -> int:
+        return len(self.ordinals)
+
+    def __iter__(self):
+        for rank, (doc_id, score) in enumerate(zip(self.doc_ids(), self.scores.tolist()), 1):
+            yield ScoredHit(doc_id, score, rank)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # a negative index counts from the end; IndexError past it
+        return ScoredHit(self._names[self.ordinals[i]], float(self.scores[i]), i + 1)
+
+    def __eq__(self, other):
+        if isinstance(other, Ranking):
+            other = list(other)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Ranking({list(self)!r})"
 
 
 class PostingIndex:
@@ -97,14 +141,6 @@ class PostingIndex:
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
-
-    def postings(self, term: str) -> list[tuple[int, int]]:
-        """``(doc_ordinal, tf)`` pairs of a term, by ascending ordinal."""
-        row = self.term_rows.get(term)
-        if row is None:
-            return []
-        lo, hi = self.offsets[row], self.offsets[row + 1]
-        return list(zip(self.doc_ordinals[lo:hi].tolist(), self.tfs[lo:hi].tolist()))
 
     def save(self, path: str) -> None:
         term_bytes, term_offsets = _encode_strings(self.terms)
@@ -214,8 +250,8 @@ def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingInde
     )
 
 
-def search_topk(index: PostingIndex, query_text: str, k: int) -> list[ScoredHit]:
-    """Top-k BM25 hits, score descending, ties by doc_id ascending; zero scores dropped."""
+def search_topk(index: PostingIndex, query_text: str, k: int) -> Ranking:
+    """Top-k BM25 ranking, score descending, ties by doc_id ascending; zero scores dropped."""
     if k < 1:
         raise ValueError("k must be >= 1")
     term_counts: dict[str, int] = {}
@@ -235,7 +271,4 @@ def search_topk(index: PostingIndex, query_text: str, k: int) -> list[ScoredHit]
         kth = np.partition(scores[candidates], candidates.size - k)[candidates.size - k]
         candidates = candidates[scores[candidates] >= kth]
     top = candidates[np.lexsort((index.doc_id_ranks[candidates], -scores[candidates]))][:k]
-    return [
-        ScoredHit(doc_id=index.doc_ids[ordinal], score=score, rank=i)
-        for i, (ordinal, score) in enumerate(zip(top.tolist(), scores[top].tolist()), 1)
-    ]
+    return Ranking(top, scores[top], index.doc_ids)

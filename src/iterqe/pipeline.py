@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field, replace
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from .corpus import Corpus, truncate_text
 from .expansion import ExpansionBackend, GenerationParams, PromptInputs
-from .index import PostingIndex, ScoredHit, search_topk
+from .index import PostingIndex, Ranking, search_topk
 
 log = logging.getLogger(__name__)
 
@@ -49,24 +52,34 @@ class QueryState:
 @dataclass
 class RoundRecord:
     round: int
-    retrieved: list[ScoredHit]
+    retrieved: Ranking
     feedback_docs: list[str]
     rendered_query: str
     expansion_segment: str
     thinking_traces: list[str]
 
-    def to_dict(self) -> dict:
-        # built by hand: dataclasses.asdict deep-copies every hit of the ranking
-        return {
-            "round": self.round,
-            "retrieved": [
-                {"doc_id": h.doc_id, "score": h.score, "rank": h.rank} for h in self.retrieved
-            ],
+    def trace_line(self, query_id: str) -> str:
+        """The record as one JSON line of the trace, without the newline.
+
+        The hits are formatted straight from the ranking's arrays, the rest
+        by ``json.dumps``; the line equals ``json.dumps`` of the record as
+        a dict with the keys in this order (``repr`` of a float is its JSON
+        number, and ``encode_basestring_ascii`` is ``json.dumps``'s own
+        string encoder).
+        """
+        hits = ", ".join(
+            f'{{"doc_id": {encode_basestring_ascii(doc_id)}, "score": {score!r}, "rank": {rank}}}'
+            for rank, (doc_id, score) in enumerate(
+                zip(self.retrieved.doc_ids(), self.retrieved.scores.tolist()), 1)
+        )
+        head = json.dumps({"query_id": query_id, "round": self.round})
+        tail = json.dumps({
             "feedback_docs": self.feedback_docs,
             "rendered_query": self.rendered_query,
             "expansion_segment": self.expansion_segment,
             "thinking_traces": self.thinking_traces,
-        }
+        })
+        return f'{head[:-1]}, "retrieved": [{hits}], {tail[1:]}'
 
 
 def word_count(text: str) -> int:
@@ -90,21 +103,19 @@ def render_query(state: QueryState, lambda_: float = 3.0) -> str:
 
 
 def filter_feedback(
-    retrieved: list[ScoredHit],
+    ranked: list[str],
     blacklist: set[str],
     prev_feedback: list[str],
     k: int,
 ) -> tuple[list[str], set[str]]:
-    """Drop blacklisted and previous-round docs; excluded ids join the blacklist."""
+    """Drop blacklisted and previous-round docs from the ranked doc ids.
+
+    The first k left are the feedback; every excluded id that was retrieved
+    joins the blacklist.
+    """
     excluded = blacklist | set(prev_feedback)
-    feedback: list[str] = []
-    newly_blacklisted: set[str] = set()
-    for hit in retrieved:
-        if hit.doc_id in excluded:
-            newly_blacklisted.add(hit.doc_id)
-        elif len(feedback) < k:
-            feedback.append(hit.doc_id)
-    return feedback, blacklist | newly_blacklisted
+    feedback = list(islice((d for d in ranked if d not in excluded), k))
+    return feedback, blacklist | excluded.intersection(ranked)
 
 
 def run_round(
@@ -121,10 +132,10 @@ def run_round(
     retrieved = search_topk(index, rendered, config.retrieval_depth)
     if config.filter_enabled:
         feedback, new_blacklist = filter_feedback(
-            retrieved, state.blacklist, state.prev_feedback, config.top_k_feedback
+            retrieved.doc_ids(), state.blacklist, state.prev_feedback, config.top_k_feedback
         )
     else:
-        feedback = [h.doc_id for h in retrieved[: config.top_k_feedback]]
+        feedback = retrieved.doc_ids(config.top_k_feedback)
         new_blacklist = set(state.blacklist)
     if not feedback:
         log.warning("round %d: no feedback documents survived filtering", state.round)
@@ -166,7 +177,7 @@ def run_pipeline(
     backend: ExpansionBackend,
     config: PipelineConfig,
     gen_params: GenerationParams | None = None,
-) -> tuple[list[ScoredHit], list[RoundRecord]]:
+) -> tuple[Ranking, list[RoundRecord]]:
     """Full expansion run for one query; returns final ranking and per-round trace."""
     if not q0.strip():
         raise ValueError("query must be non-empty")

@@ -36,6 +36,26 @@ def brute_force_ranking(texts, doc_ids, query, k1=0.9, b=0.4):
     return scored
 
 
+def assert_same_ranking(hits, oracle, k, rel=1e-9):
+    """Check the program's top-k ``hits`` against the whole ``brute_force_ranking``.
+
+    Rank by rank the scores agree within ``rel``, and so does each hit's
+    score with the oracle's score of the same document. Two documents whose
+    oracle scores agree within ``rel`` may therefore swap places, also across
+    the cut at k: summing in another order can move a score by an ulp.
+    Documents that the program scores exactly equal must come in doc_id order.
+    """
+    got = [(h.doc_id, h.score) for h in hits]
+    assert len(got) == min(k, len(oracle)), (got, oracle)
+    oracle_scores = {doc_id: score for score, doc_id in oracle}
+    assert len(set(oracle_scores).intersection(d for d, _ in got)) == len(got), (got, oracle)
+    for rank, ((doc_id, score), (expected, _)) in enumerate(zip(got, oracle), 1):
+        assert math.isclose(score, expected, rel_tol=rel), (rank, got, oracle)
+        assert math.isclose(score, oracle_scores[doc_id], rel_tol=rel), (rank, got, oracle)
+    for (d1, s1), (d2, s2) in zip(got, got[1:]):
+        assert s1 > s2 or (s1 == s2 and d1 < d2), (got, oracle)
+
+
 def reference_eval(run_path, qrels_path, threshold=1):
     """trec_eval-style mAP / nDCG@10 / Recall@1000 recomputed from the files."""
     judgments = {}

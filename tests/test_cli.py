@@ -356,10 +356,17 @@ BYTE_IDENTITY_CASES = {
     }),
 }
 
+# Queries run concurrently must give the outputs of the serial run; `workers`
+# is not written to the metadata.
+BYTE_IDENTITY_CASES.update({
+    f"{case}-workers{workers}": ([*BYTE_IDENTITY_CASES[case][0], "--workers", str(workers)],
+                                 BYTE_IDENTITY_CASES[case][1])
+    for case in ("interaction-3x2", "parallel-3x2") for workers in (2, 4)
+})
 
-@pytest.mark.parametrize("case", sorted(BYTE_IDENTITY_CASES))
-def test_outputs_byte_identical(workspace, case):
-    command, expected = BYTE_IDENTITY_CASES[case]
+
+def output_digests(workspace, command):
+    """sha256 of each run, trace and metadata file that the command writes."""
     idx = build_index_file(workspace)
     out = workspace / "out"
     extra = [str(workspace / "qrels.txt") if a == "QRELS" else a for a in command[1:]]
@@ -369,9 +376,22 @@ def test_outputs_byte_identical(workspace, case):
                      "--queries", str(workspace / "queries.tsv"),
                      "--out-dir", str(out), *extra])
     assert result.exit_code == 0, result.output
-    digests = {
+    return {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in sorted(os.listdir(out))
         if name.endswith((".run.txt", ".trace.jsonl", ".metadata.json"))
     }
-    assert digests == expected
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_IDENTITY_CASES))
+def test_outputs_byte_identical(workspace, case):
+    command, expected = BYTE_IDENTITY_CASES[case]
+    assert output_digests(workspace, command) == expected
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_outputs_independent_of_query_order(workspace, workers):
+    # queries run and are written in qid order, whatever the file's order
+    (workspace / "queries.tsv").write_text("q2\tbrint coast\nq1\tzork flim\n")
+    command, expected = BYTE_IDENTITY_CASES["interaction-3x2"]
+    assert output_digests(workspace, [*command, "--workers", workers]) == expected

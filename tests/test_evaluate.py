@@ -166,6 +166,31 @@ class TestFileIO:
         loaded = RunFile.read(str(path))
         assert loaded.doc_ids("q1") == ["d2", "d1"]
 
+    def test_add_ranking_equals_adds(self, tmp_path):
+        by_ranking, by_hit = RunFile(tag="t"), RunFile(tag="t")
+        by_ranking.add_ranking("q2", ["d3", "d1"], [2.5, 1.0])
+        by_ranking.add_ranking("q1", ["d2"], [0.5])
+        by_ranking.add_ranking("q1", [], [])
+        by_ranking.add_ranking("q1", ["d1"], [0.25])
+        for qid, doc_id, score in [("q2", "d3", 2.5), ("q2", "d1", 1.0), ("q1", "d2", 0.5),
+                                   ("q1", "d1", 0.25)]:
+            by_hit.add(qid, doc_id, score)
+        assert by_ranking.rankings == by_hit.rankings
+        by_ranking.write(str(tmp_path / "a.txt"))
+        by_hit.write(str(tmp_path / "b.txt"))
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_add_ranking_duplicate_doc_rejected(self):
+        run = RunFile()
+        with pytest.raises(ValueError, match="duplicate"):
+            run.add_ranking("q1", ["d1", "d2", "d1"], [3.0, 2.0, 1.0])
+        run = RunFile()
+        run.add("q1", "d1", 3.0)
+        with pytest.raises(ValueError, match="duplicate"):
+            run.add_ranking("q1", ["d2", "d1"], [2.0, 1.0])
+        with pytest.raises(ValueError, match="duplicate"):
+            run.add("q1", "d1", 1.0)
+
     def test_run_duplicate_doc_rejected(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t\n")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from iterqe.corpus import Corpus, Document
 from iterqe.expansion import GenerationParams, MockBackend
-from iterqe.index import ScoredHit, build_index
+from iterqe.index import build_index, search_topk
 from iterqe.pipeline import (
     PipelineConfig,
     QueryState,
@@ -22,10 +23,6 @@ def make_corpus(texts, prefix="d"):
     for i, text in enumerate(texts):
         corpus._add(Document(f"{prefix}{i}", text), i + 1)
     return corpus
-
-
-def hits(*doc_ids):
-    return [ScoredHit(d, float(len(doc_ids) - i), i + 1) for i, d in enumerate(doc_ids)]
 
 
 class TestRepetitionCount:
@@ -85,29 +82,35 @@ class TestRenderQuery:
 
 class TestFilterFeedback:
     def test_set_algebra_example(self):
-        retrieved = hits(*[f"d{i}" for i in range(1, 11)])
+        retrieved = [f"d{i}" for i in range(1, 11)]
         feedback, blacklist = filter_feedback(retrieved, {"d1"}, ["d2", "d3"], 5)
         assert feedback == ["d4", "d5", "d6", "d7", "d8"]
         assert blacklist >= {"d1", "d2", "d3"}
 
     def test_no_exclusions(self):
-        retrieved = hits("a", "b", "c")
+        retrieved = ["a", "b", "c"]
         feedback, blacklist = filter_feedback(retrieved, set(), [], 2)
         assert feedback == ["a", "b"]
         assert blacklist == set()
 
     def test_all_blacklisted(self):
-        retrieved = hits("a", "b")
+        retrieved = ["a", "b"]
         feedback, blacklist = filter_feedback(retrieved, {"a", "b"}, [], 5)
         assert feedback == []
         assert blacklist == {"a", "b"}
 
     def test_blacklist_grows_with_excluded_only(self):
-        retrieved = hits("a", "b", "c", "d")
+        retrieved = ["a", "b", "c", "d"]
         feedback, blacklist = filter_feedback(retrieved, set(), ["b"], 2)
         assert feedback == ["a", "c"]
         # d was cut by top-k, not by the set test, so it stays clean
         assert blacklist == {"b"}
+
+    def test_unretrieved_exclusions_do_not_join(self):
+        feedback, blacklist = filter_feedback(["a", "b", "c"], {"x"}, ["b", "y"], 5)
+        assert feedback == ["a", "c"]
+        # only previous feedback that was retrieved again joins
+        assert blacklist == {"x", "b"}
 
 
 FEEDBACK_CORPUS = [
@@ -267,3 +270,70 @@ class TestLoopInvariants:
 
         plain = [h.doc_id for h in search_topk(index, "zork flim", 1000)]
         assert "d5" not in plain
+
+
+class TestTraceLine:
+    # JSON escapes, a control character, non-ASCII, an astral character and a
+    # lone surrogate
+    DOC_IDS = ['say "hi"', "back\\slash", "line\nbreak", "nul\x00", "caf\u00e9",
+               "emoji\U0001f600", "lone\ud800"]
+
+    def test_trace_lines_equal_json_dumps(self):
+        corpus = Corpus()
+        for i, doc_id in enumerate(self.DOC_IDS):
+            corpus._add(Document(doc_id, f"zork flim margle{i} brint"), i + 1)
+        index = build_index(corpus)
+        config = PipelineConfig(rounds=2, top_k_feedback=3)
+        _, trace = run_pipeline("zork flim", corpus, index, MockBackend(), config)
+        assert {d for r in trace for d in r.retrieved.doc_ids()} == set(self.DOC_IDS)
+        for qid in ("q1", 'q "\u00e9\ud83d"'):
+            for record in trace:
+                expected = json.dumps({
+                    "query_id": qid,
+                    "round": record.round,
+                    "retrieved": [{"doc_id": h.doc_id, "score": h.score, "rank": h.rank}
+                                  for h in record.retrieved],
+                    "feedback_docs": record.feedback_docs,
+                    "rendered_query": record.rendered_query,
+                    "expansion_segment": record.expansion_segment,
+                    "thinking_traces": record.thinking_traces,
+                })
+                assert record.trace_line(qid) == expected
+
+    def test_empty_ranking(self):
+        corpus, index = feedback_setup()
+        config = PipelineConfig(rounds=1)
+        _, trace = run_pipeline("absent words", corpus, index, MockBackend(), config)
+        assert len(trace[-1].retrieved) == 0
+        line = json.loads(trace[-1].trace_line("q"))
+        assert line["retrieved"] == []
+        assert list(line) == ["query_id", "round", "retrieved", "feedback_docs",
+                              "rendered_query", "expansion_segment", "thinking_traces"]
+
+
+class TestRanking:
+    def test_reads_like_a_list_of_hits(self):
+        corpus, index = feedback_setup()
+        ranking = search_topk(index, "zork flim margle", 10)
+        hits = list(ranking)
+        assert len(ranking) == len(hits) == 6
+        assert [h.rank for h in hits] == [1, 2, 3, 4, 5, 6]
+        assert ranking.doc_ids() == [h.doc_id for h in hits]
+        assert ranking.doc_ids(2) == [h.doc_id for h in hits[:2]]
+        assert ranking.scores.tolist() == [h.score for h in hits]
+        assert all(type(h.score) is float for h in hits)
+        assert [ranking[i] for i in range(-6, 6)] == hits + hits
+        assert ranking[1:3] == hits[1:3]
+        assert ranking[::-2] == hits[::-2]
+        assert ranking == hits
+        assert ranking == search_topk(index, "zork flim margle", 10)
+        assert ranking != hits[:5]
+        assert ranking != search_topk(index, "zork", 10)
+        with pytest.raises(IndexError):
+            ranking[6]
+        with pytest.raises(TypeError):
+            hash(ranking)
+
+    def test_shares_the_index_doc_ids(self):
+        corpus, index = feedback_setup()
+        assert search_topk(index, "zork", 3)._names is index.doc_ids
