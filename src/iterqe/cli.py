@@ -23,7 +23,13 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            raise click.ClickException(f"{path}: not a JSON config file: {exc}")
+    if not isinstance(config, dict):
+        raise click.ClickException(f"{path}: the config must be a JSON object")
+    return config
 
 
 def _resolve(flag_value, config: dict, key: str, default):
@@ -36,7 +42,7 @@ def _resolve(flag_value, config: dict, key: str, default):
 
 
 def _read_queries(path: str) -> list[tuple[str, str]]:
-    queries = []
+    queries = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
@@ -44,8 +50,10 @@ def _read_queries(path: str) -> list[tuple[str, str]]:
             parts = line.rstrip("\n").split("\t", 1)
             if len(parts) != 2:
                 raise click.ClickException(f"{path}:{line_no}: expected qid<TAB>text")
-            queries.append((parts[0], parts[1]))
-    return queries
+            if parts[0] in queries:
+                raise click.ClickException(f"{path}:{line_no}: duplicate query id {parts[0]!r}")
+            queries[parts[0]] = parts[1]
+    return list(queries.items())
 
 
 def _prompt_template_hash() -> str:
@@ -59,7 +67,7 @@ def main():
 
 
 @main.command("index")
-@click.option("--corpus", "corpus_path", required=True, type=click.Path())
+@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "tsv"]), default="jsonl")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--k1", type=float, default=Bm25Params.k1, show_default=True)
@@ -69,8 +77,6 @@ def cmd_index(corpus_path, fmt, out_path, k1, b, force):
     """Ingest a corpus and persist a BM25 index."""
     if os.path.exists(out_path) and not force:
         raise click.ClickException(f"{out_path} exists; pass --force to rebuild")
-    if not os.path.exists(corpus_path):
-        raise click.ClickException(f"corpus file not found: {corpus_path}")
     out_dir = os.path.dirname(os.path.abspath(out_path))
     if not os.path.isdir(out_dir):
         raise click.ClickException(f"output directory not found: {out_dir}")
@@ -111,7 +117,7 @@ def _pipeline_options(fn):
         click.option("--key-env", default=None),
         click.option("--thinking-mode", type=click.Choice(["think", "no_think_prefill", "base_model"]), default=None),
         click.option("--temperature", type=float, default=None),
-        click.option("--workers", type=int, default=1, show_default=True),
+        click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -175,7 +181,7 @@ def _load_inputs(corpus_path, fmt, index_path, queries_path):
 
 
 def _execute_batch(corpus, index, queries, cfg, pipe_cfg, gen_params, backend,
-                   out_dir, run_name, workers=1):
+                   out_dir, run_name, workers):
     """Run the pipeline over all queries and write run/trace/metadata files.
 
     Queries run in qid order (a stable sort), and each query's trace lines
@@ -282,6 +288,8 @@ def cmd_ablate(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
                workers, qrels_path, cells, **kwargs):
     """Run the accumulation/filter ablation grid plus the parallel-scaling baseline."""
     cell_names = [c.strip() for c in cells.split(",") if c.strip()]
+    if not cell_names:
+        raise click.ClickException("--cells names no ablation cell")
     unknown = [c for c in cell_names if c not in ABLATION_CELLS]
     if unknown:
         raise click.ClickException(f"unknown ablation cells: {', '.join(unknown)}")

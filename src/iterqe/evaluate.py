@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+NDCG_K = 10
+RECALL_K = 1000
+
 
 class TrecFormatError(ValueError):
     """Raised when a run or qrels file cannot be parsed."""
@@ -15,9 +18,6 @@ class Qrels:
     """Graded relevance judgments keyed by (query_id, doc_id)."""
 
     judgments: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def grade(self, query_id: str, doc_id: str) -> int:
-        return self.judgments.get(query_id, {}).get(doc_id, 0)
 
     def query_ids(self) -> list[str]:
         return sorted(self.judgments)
@@ -136,8 +136,7 @@ class EvalResult:
     means: dict[str, float]
 
 
-def evaluate_run(run: RunFile, qrels: Qrels, binary_threshold: int = 1,
-                 ndcg_k: int = 10, recall_k: int = 1000) -> EvalResult:
+def evaluate_run(run: RunFile, qrels: Qrels, binary_threshold: int = 1) -> EvalResult:
     """Per-query and mean mAP / nDCG@10 / Recall@1000 over the qrels query set."""
     query_ids = qrels.query_ids()
     if not set(query_ids) & set(run.rankings):
@@ -149,10 +148,10 @@ def evaluate_run(run: RunFile, qrels: Qrels, binary_threshold: int = 1,
         ranking = run.doc_ids(qid)
         per_query[qid] = {
             "map": average_precision(ranking, relevant),
-            f"ndcg@{ndcg_k}": ndcg_at_k(ranking, grades, ndcg_k),
-            f"recall@{recall_k}": recall_at_k(ranking, relevant, recall_k),
+            f"ndcg@{NDCG_K}": ndcg_at_k(ranking, grades, NDCG_K),
+            f"recall@{RECALL_K}": recall_at_k(ranking, relevant, RECALL_K),
         }
-    metrics = ["map", f"ndcg@{ndcg_k}", f"recall@{recall_k}"]
+    metrics = ["map", f"ndcg@{NDCG_K}", f"recall@{RECALL_K}"]
     means = {
         m: sum(per_query[q][m] for q in query_ids) / len(query_ids) for m in metrics
     }

@@ -19,6 +19,9 @@ THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
 NO_THINK_PREFILL = "<think>Okay, I think I have finished thinking.</think>"
 MOCK_ECHO_TERMS = 8  # most frequent passage terms the echo_terms mock answers with
+MAX_OUTPUT_TOKENS = 1024  # max_tokens of every chat-completions request
+REQUEST_TIMEOUT_S = 120.0
+MAX_ATTEMPTS = 3  # per request, counting the first
 
 PROMPT_HEADER = (
     'Given a question "{query}" and its possible answering passages '
@@ -38,7 +41,6 @@ class GenerationError(RuntimeError):
 class GenerationParams:
     temperature: float = 0.7
     num_samples: int = 2
-    max_output_tokens: int = 1024
     thinking_mode: str = "think"  # think | no_think_prefill | base_model
 
     def __post_init__(self):
@@ -111,13 +113,10 @@ class ChatCompletionsBackend(ExpansionBackend):
     """Chat-completions-style HTTP backend with bounded retries."""
 
     def __init__(self, base_url: str, model: str, api_key: str = "",
-                 timeout: float = 120.0, max_attempts: int = 3,
                  session: requests.Session | None = None):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key
-        self.timeout = timeout
-        self.max_attempts = max_attempts
         self.session = session or requests.Session()
         self.generation_calls = 0
 
@@ -131,9 +130,9 @@ class ChatCompletionsBackend(ExpansionBackend):
             headers["Authorization"] = f"Bearer {self.api_key}"
         delay = 1.0
         last_error: Exception | None = None
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
-                resp = self.session.post(url, json=body, headers=headers, timeout=self.timeout)
+                resp = self.session.post(url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S)
             except requests.RequestException as exc:
                 last_error = exc
             else:
@@ -142,10 +141,10 @@ class ChatCompletionsBackend(ExpansionBackend):
                 if 400 <= resp.status_code < 500:
                     raise GenerationError(f"backend rejected request: {resp.status_code} {resp.text[:200]}")
                 last_error = GenerationError(f"backend error {resp.status_code}")
-            if attempt < self.max_attempts:
+            if attempt < MAX_ATTEMPTS:
                 time.sleep(delay)
                 delay *= 2
-        raise GenerationError(f"backend unreachable after {self.max_attempts} attempts: {last_error}")
+        raise GenerationError(f"backend unreachable after {MAX_ATTEMPTS} attempts: {last_error}")
 
     def generate(self, inputs: PromptInputs, params: GenerationParams) -> list[ExpansionResponse]:
         messages = [{"role": "user", "content": build_prompt(inputs)}]
@@ -157,7 +156,7 @@ class ChatCompletionsBackend(ExpansionBackend):
             "messages": messages,
             "temperature": params.temperature,
             "n": params.num_samples,
-            "max_tokens": params.max_output_tokens,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }
         payload = self._post(body)
         responses = []

@@ -53,9 +53,9 @@ class Ranking:
     """A top-k ranking as arrays: document ordinals and float64 scores, best first.
 
     It names its documents through the index's ``doc_ids`` list, which it
-    shares, not copies. Iterating, indexing, slicing or comparing it with
-    ``==`` builds ``ScoredHit``s on demand; callers that only need the ids
-    or the scores read ``doc_ids()`` and ``scores``.
+    shares, not copies. Iterating it builds ``ScoredHit``s on demand;
+    callers that only need the ids or the scores read ``doc_ids()`` and
+    ``scores``.
     """
 
     __slots__ = ("ordinals", "scores", "_names")
@@ -76,22 +76,6 @@ class Ranking:
     def __iter__(self):
         for rank, (doc_id, score) in enumerate(zip(self.doc_ids(), self.scores.tolist()), 1):
             yield ScoredHit(doc_id, score, rank)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]  # a negative index counts from the end; IndexError past it
-        return ScoredHit(self._names[self.ordinals[i]], float(self.scores[i]), i + 1)
-
-    def __eq__(self, other):
-        if isinstance(other, Ranking):
-            other = list(other)
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Ranking({list(self)!r})"
 
 
 class PostingIndex:

@@ -86,7 +86,7 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def repetition_count(q0: str, expansions: list[str], lambda_: float = 3.0) -> int:
+def repetition_count(q0: str, expansions: list[str], lambda_: float) -> int:
     """How many times to repeat the original query against expansion dilution."""
     q0_words = word_count(q0)
     if q0_words < 1:
@@ -95,7 +95,7 @@ def repetition_count(q0: str, expansions: list[str], lambda_: float = 3.0) -> in
     return max(1, int(total / (q0_words * lambda_)))
 
 
-def render_query(state: QueryState, lambda_: float = 3.0) -> str:
+def render_query(state: QueryState, lambda_: float) -> str:
     """Repeated original query followed by every expansion segment in round order."""
     n = repetition_count(state.q0, state.expansions, lambda_)
     parts = [state.q0] * n + list(state.expansions)

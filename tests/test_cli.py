@@ -147,6 +147,7 @@ class TestRunCommand:
         ("--rounds", "-1", "rounds"),
         ("--top-k", "0", "top_k_feedback"),
         ("--truncate", "0", "prompt_doc_truncation"),
+        ("--workers", "0", "--workers"),
     ])
     def test_invalid_parameter_rejected_before_writing(self, workspace, flag, value, field):
         idx = build_index_file(workspace)
@@ -164,6 +165,27 @@ class TestRunCommand:
         result = invoke(run_args(workspace, idx, out, ["--config", str(cfg)]))
         assert result.exit_code != 0
         assert "top_k_feedback" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"rounds": 1', "[1, 2]"])
+    def test_malformed_config_file_rejected(self, workspace, text):
+        idx = build_index_file(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(text)
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out, ["--config", str(cfg)]))
+        assert result.exit_code != 0
+        assert "cfg.json" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("second", ["brint", "zork flim"])
+    def test_duplicate_query_id_rejected(self, workspace, second):
+        idx = build_index_file(workspace)
+        (workspace / "queries.tsv").write_text(f"q1\tzork\nq1\t{second}\n")
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out, ["--rounds", "0"]))
+        assert result.exit_code != 0
+        assert "queries.tsv:2: duplicate query id 'q1'" in result.output
         assert not out.exists()
 
     def test_index_that_is_not_gzip(self, workspace):
@@ -314,6 +336,19 @@ class TestAblateCommand:
                          "--cells", "bogus"])
         assert result.exit_code != 0
         assert "bogus" in result.output
+
+    def test_no_cell(self, workspace):
+        idx = build_index_file(workspace)
+        out = workspace / "ablate_bad"
+        result = invoke(["ablate",
+                         "--corpus", str(workspace / "corpus.jsonl"),
+                         "--index", str(idx),
+                         "--queries", str(workspace / "queries.tsv"),
+                         "--out-dir", str(out),
+                         "--cells", ","])
+        assert result.exit_code != 0
+        assert "--cells" in result.output
+        assert not out.exists()
 
 
 # sha256 of every run, trace and metadata file that `run` and `ablate` write on

@@ -145,8 +145,7 @@ class TestFileIO:
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1 2\nq1 0 d2 0\nq2 0 d1 1\n")
         qrels = Qrels.read(str(path))
-        assert qrels.grade("q1", "d1") == 2
-        assert qrels.grade("q1", "missing") == 0
+        assert qrels.judgments["q1"] == {"d1": 2, "d2": 0}
         assert qrels.query_ids() == ["q1", "q2"]
 
     def test_qrels_bad_line(self, tmp_path):

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iterqe.expansion import (
+    MAX_OUTPUT_TOKENS,
     NO_THINK_PREFILL,
+    REQUEST_TIMEOUT_S,
     ChatCompletionsBackend,
     GenerationError,
     GenerationParams,
@@ -137,7 +139,7 @@ class FakeSession:
         self.requests = []
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
+        self.requests.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
         item = self.responses.pop(0)
         if isinstance(item, Exception):
             raise item
@@ -149,11 +151,10 @@ def chat_payload(*contents):
 
 
 class TestHttpBackend:
-    def make(self, responses, **kwargs):
+    def make(self, responses):
         session = FakeSession(responses)
         backend = ChatCompletionsBackend(
-            "http://backend/v1", "test-model", api_key="sk-test",
-            session=session, **kwargs
+            "http://backend/v1", "test-model", api_key="sk-test", session=session
         )
         return backend, session
 
@@ -170,6 +171,8 @@ class TestHttpBackend:
         assert body["model"] == "test-model"
         assert body["n"] == 2
         assert body["temperature"] == 0.7
+        assert body["max_tokens"] == MAX_OUTPUT_TOKENS
+        assert session.requests[0]["timeout"] == REQUEST_TIMEOUT_S
         assert session.requests[0]["headers"]["Authorization"] == "Bearer sk-test"
 
     def test_retries_on_server_error(self, monkeypatch):
@@ -183,7 +186,7 @@ class TestHttpBackend:
 
     def test_gives_up_after_max_attempts(self, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)
-        backend, session = self.make([FakeResponse(503)] * 3, max_attempts=3)
+        backend, session = self.make([FakeResponse(503)] * 3)
         with pytest.raises(GenerationError, match="unreachable"):
             backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=1))
         assert len(session.requests) == 3

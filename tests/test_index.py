@@ -66,18 +66,18 @@ class TestBuild:
 class TestScore:
     def test_absent_term_scores_zero(self):
         index = build_index(make_corpus(["alpha", "beta"]))
-        assert search_topk(index, "gamma", 2) == []
+        assert len(search_topk(index, "gamma", 2)) == 0
 
     def test_single_doc_closed_form(self):
         # one doc, one term: idf = ln(1 + 0.5/1.5), tf-part = 1.9/(1+0.9)
         index = build_index(make_corpus(["wax"]))
         expected = math.log(4 / 3)
-        assert search_topk(index, "wax", 1)[0].score == pytest.approx(expected, rel=1e-12)
+        assert list(search_topk(index, "wax", 1))[0].score == pytest.approx(expected, rel=1e-12)
 
     def test_duplicate_query_term_doubles(self):
         index = build_index(make_corpus(["wax paper", "paper"]))
-        single = search_topk(index, "wax", 1)[0].score
-        double = search_topk(index, "wax wax", 1)[0].score
+        single = list(search_topk(index, "wax", 1))[0].score
+        double = list(search_topk(index, "wax wax", 1))[0].score
         assert double == pytest.approx(2 * single)
 
 
@@ -89,7 +89,7 @@ class TestSearch:
 
     def test_tie_broken_by_doc_id(self):
         index = build_index(make_corpus(["same text", "same text"]))
-        hits = search_topk(index, "same", 2)
+        hits = list(search_topk(index, "same", 2))
         assert [h.doc_id for h in hits] == ["d0", "d1"]
         assert hits[0].score == hits[1].score
 
@@ -110,7 +110,7 @@ class TestSearch:
 
     def test_empty_query_returns_empty(self):
         index = build_index(make_corpus(["alpha"]))
-        assert search_topk(index, "the and of", 5) == []
+        assert len(search_topk(index, "the and of", 5)) == 0
 
     def test_ranks_contiguous(self):
         index = build_index(make_corpus(["a b c", "b c", "c"]))
@@ -142,8 +142,8 @@ class TestSearch:
         # swapping a filler term for another query-term occurrence (same length)
         low = ["wax pad pad filler", "other words here"]
         high = ["wax pad wax filler", "other words here"]
-        s_low = search_topk(build_index(make_corpus(low)), "wax", 1)[0].score
-        s_high = search_topk(build_index(make_corpus(high)), "wax", 1)[0].score
+        s_low = list(search_topk(build_index(make_corpus(low)), "wax", 1))[0].score
+        s_high = list(search_topk(build_index(make_corpus(high)), "wax", 1))[0].score
         assert s_high >= s_low
 
     def test_scores_non_negative(self):
@@ -162,7 +162,7 @@ class TestPersistence:
         loaded = PostingIndex.load(str(path))
         assert loaded.params == index.params
         for query in ("columbia", "river boat", "jacket"):
-            assert search_topk(loaded, query, 3) == search_topk(index, query, 3)
+            assert list(search_topk(loaded, query, 3)) == list(search_topk(index, query, 3))
 
     def test_rejects_wrong_format(self, tmp_path):
         import gzip
@@ -189,7 +189,7 @@ class TestPersistence:
         assert loaded.terms == index.terms
         assert np.array_equal(loaded.impacts, index.impacts)
         for query in ("columbia", "river boat", "jacket river columbia", "absent"):
-            assert search_topk(loaded, query, 4) == search_topk(index, query, 4)
+            assert list(search_topk(loaded, query, 4)) == list(search_topk(index, query, 4))
 
     def test_rejects_version_1_file(self, tmp_path):
         import gzip
@@ -264,7 +264,7 @@ class TestScatterAddMatchesOracle:
 
     def test_one_document_corpus(self):
         index = build_index(make_corpus(["wax wax paper"]))
-        hits = search_topk(index, "paper wax absent", 3)
+        hits = list(search_topk(index, "paper wax absent", 3))
         oracle = brute_force_ranking(["wax wax paper"], ["d0"], "paper wax absent")
         assert [(h.doc_id, h.rank) for h in hits] == [("d0", 1)]
         assert hits[0].score == pytest.approx(oracle[0][0], rel=1e-9)
