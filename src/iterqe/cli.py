@@ -66,8 +66,12 @@ def main():
     """Iterative thinking-based query expansion over a BM25 index."""
 
 
+# an existing file; a directory is refused by click instead of raising on open
+INPUT_FILE = click.Path(exists=True, dir_okay=False)
+
+
 @main.command("index")
-@click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True))
+@click.option("--corpus", "corpus_path", required=True, type=INPUT_FILE)
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "tsv"]), default="jsonl")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--k1", type=float, default=Bm25Params.k1, show_default=True)
@@ -83,9 +87,9 @@ def cmd_index(corpus_path, fmt, out_path, k1, b, force):
     try:
         corpus = ingest_corpus(corpus_path, fmt)
         index = build_index(corpus, Bm25Params(k1=k1, b=b))
-    except (CorpusFormatError, ValueError) as exc:
+        index.save(out_path)
+    except (CorpusFormatError, ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
-    index.save(out_path)
     click.echo(
         f"indexed doc_count={index.doc_count} term_count={len(index.terms)} "
         f"avg_doc_length={index.avg_doc_length:.2f} -> {out_path}"
@@ -94,11 +98,11 @@ def cmd_index(corpus_path, fmt, out_path, k1, b, force):
 
 def _pipeline_options(fn):
     opts = [
-        click.option("--config", "config_path", type=click.Path(exists=True), default=None),
-        click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True)),
+        click.option("--config", "config_path", type=INPUT_FILE, default=None),
+        click.option("--corpus", "corpus_path", required=True, type=INPUT_FILE),
         click.option("--format", "fmt", type=click.Choice(["jsonl", "tsv"]), default="jsonl"),
-        click.option("--index", "index_path", required=True, type=click.Path(exists=True)),
-        click.option("--queries", "queries_path", required=True, type=click.Path(exists=True)),
+        click.option("--index", "index_path", required=True, type=INPUT_FILE),
+        click.option("--queries", "queries_path", required=True, type=INPUT_FILE),
         click.option("--out-dir", required=True, type=click.Path()),
         click.option("--rounds", type=int, default=None),
         click.option("--samples", type=int, default=None),
@@ -145,6 +149,12 @@ def _resolve_run_config(config_path, kwargs) -> dict:
         **{key: getattr(mock, f) for key, f in MOCK_KEYS.items()},
         "backend": "mock", "base_url": "", "model": "", "key_env": "ITERQE_API_KEY",
     }
+    unknown = [key for key in file_cfg if key not in defaults]
+    if unknown:
+        raise click.ClickException(
+            f"{config_path}: unknown config keys {', '.join(map(repr, unknown))}; "
+            f"the keys are {', '.join(defaults)}"
+        )
     cfg = {key: _resolve(kwargs.get(key), file_cfg, key, default)
            for key, default in defaults.items()}
     cfg["accumulation_enabled"] = not kwargs.get("no_accumulation") and cfg["accumulation_enabled"]
@@ -247,8 +257,8 @@ def cmd_run(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
 
 
 @main.command("eval")
-@click.option("--run", "run_path", required=True, type=click.Path(exists=True))
-@click.option("--qrels", "qrels_path", required=True, type=click.Path(exists=True))
+@click.option("--run", "run_path", required=True, type=INPUT_FILE)
+@click.option("--qrels", "qrels_path", required=True, type=INPUT_FILE)
 @click.option("--threshold", type=int, default=1, show_default=True,
               help="Minimum grade counted as relevant for mAP/recall.")
 @click.option("--json", "json_path", type=click.Path(), default=None)
@@ -281,7 +291,7 @@ ABLATION_CELLS = {
 
 @main.command("ablate")
 @_pipeline_options
-@click.option("--qrels", "qrels_path", type=click.Path(exists=True), default=None)
+@click.option("--qrels", "qrels_path", type=INPUT_FILE, default=None)
 @click.option("--cells", default="full,accum_only,filter_only,parallel",
               show_default=True, help="Comma-separated ablation cells to execute.")
 def cmd_ablate(config_path, corpus_path, fmt, index_path, queries_path, out_dir,

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, count, repeat
 
 NDCG_K = 10
 RECALL_K = 1000
+# qid, doc id, rank, score, tag; the ids and the tag are arguments, never part
+# of the template, because they may contain a %
+RUN_LINE = "%s Q0 %s %d %.6f %s\n"
 
 
 class TrecFormatError(ValueError):
@@ -70,8 +74,10 @@ class RunFile:
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for qid in sorted(self.rankings):
-                for rank, (docid, score) in enumerate(self.rankings[qid].items(), 1):
-                    fh.write(f"{qid} Q0 {docid} {rank} {score:.6f} {self.tag}\n")
+                # one % operation a query: no Python code runs per line
+                ranking = self.rankings[qid]
+                fh.write((RUN_LINE * len(ranking)) % tuple(chain.from_iterable(zip(
+                    repeat(qid), ranking, count(1), ranking.values(), repeat(self.tag)))))
 
     @classmethod
     def read(cls, path: str) -> "RunFile":

@@ -51,6 +51,16 @@ class TestIndexCommand:
         assert result.exit_code == 0
         assert "doc_count=16" in result.output
 
+    @pytest.mark.parametrize("flag", ["--corpus", "--out"])
+    def test_directory_for_a_file_rejected(self, workspace, flag):
+        paths = {"--corpus": workspace / "corpus.jsonl", "--out": workspace / "i.gz",
+                 flag: workspace}
+        result = invoke(["index", "--corpus", str(paths["--corpus"]),
+                         "--out", str(paths["--out"]), "--force"])
+        assert result.exit_code != 0
+        assert "directory" in result.output
+        assert str(workspace) in result.output
+
     def test_missing_corpus(self, workspace):
         result = invoke(["index", "--corpus", str(workspace / "nope.jsonl"),
                          "--out", str(workspace / "i.gz")])
@@ -167,7 +177,7 @@ class TestRunCommand:
         assert "top_k_feedback" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ['{"rounds": 1', "[1, 2]"])
+    @pytest.mark.parametrize("text", ['{"rounds": 1', "[1, 2]", '{"top-k": 0, "bogus": 1}'])
     def test_malformed_config_file_rejected(self, workspace, text):
         idx = build_index_file(workspace)
         cfg = workspace / "cfg.json"

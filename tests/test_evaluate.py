@@ -179,6 +179,20 @@ class TestFileIO:
         by_hit.write(str(tmp_path / "b.txt"))
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
+    def test_write_equals_per_line_format(self, tmp_path):
+        # braces and percent signs in every free field, and .6f rounding edges
+        run = RunFile(tag="t{0}%s{}")
+        run.add_ranking("q{}", ["d{0}", "%d", "}{", "caf\u00e9"], [1e17, 0.0000005, 1e-7, 0.0])
+        run.add_ranking("q%", ["a", "b", "c"], [0.0000015, 0.0000025, 2.5e-7])
+        run.add_ranking("q", [], [])
+        run.write(str(tmp_path / "run.txt"))
+        expected = "".join(
+            f"{qid} Q0 {docid} {rank} {score:.6f} {run.tag}\n"
+            for qid in sorted(run.rankings)
+            for rank, (docid, score) in enumerate(run.rankings[qid].items(), 1)
+        )
+        assert (tmp_path / "run.txt").read_text(encoding="utf-8") == expected
+
     def test_add_ranking_duplicate_doc_rejected(self):
         run = RunFile()
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,15 +1,19 @@
 import json
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from iterqe.corpus import Corpus, Document
 from iterqe.expansion import GenerationParams, MockBackend
-from iterqe.index import build_index, search_topk
+from iterqe.index import Ranking, build_index, search_topk
 from iterqe.pipeline import (
     PipelineConfig,
     QueryState,
+    RoundRecord,
+    _score_texts,
     filter_feedback,
     render_query,
     repetition_count,
@@ -270,6 +274,40 @@ class TestLoopInvariants:
         assert "d5" not in plain
 
 
+# repr writes positional notation on [1e-4, 1e16) and an exponent outside it
+BELOW_1E_4 = math.nextafter(1e-4, 0)
+BELOW_1E16 = math.nextafter(1e16, 0)
+
+
+class TestScoreTexts:
+    @given(st.lists(st.one_of(
+        st.floats(min_value=1e-4, max_value=BELOW_1E16),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    ), max_size=20))
+    def test_equal_repr(self, scores):
+        assert list(_score_texts(np.array(scores, dtype=np.float64))) == list(map(repr, scores))
+
+    @pytest.mark.parametrize("scores", [
+        [1e-4], [BELOW_1E_4], [BELOW_1E16], [1e16], [5e-324], [12.0], [],
+        [BELOW_1E16, 12.0, 1e-4], [1e16, 12.0, BELOW_1E_4],
+    ])
+    def test_edges_equal_repr(self, scores):
+        assert list(_score_texts(np.array(scores, dtype=np.float64))) == list(map(repr, scores))
+
+
+def expected_trace_line(record, query_id):
+    return json.dumps({
+        "query_id": query_id,
+        "round": record.round,
+        "retrieved": [{"doc_id": h.doc_id, "score": h.score, "rank": h.rank}
+                      for h in record.retrieved],
+        "feedback_docs": record.feedback_docs,
+        "rendered_query": record.rendered_query,
+        "expansion_segment": record.expansion_segment,
+        "thinking_traces": record.thinking_traces,
+    })
+
+
 class TestTraceLine:
     # JSON escapes, a control character, non-ASCII, an astral character and a
     # lone surrogate
@@ -286,17 +324,22 @@ class TestTraceLine:
         assert {d for r in trace for d in r.retrieved.doc_ids()} == set(self.DOC_IDS)
         for qid in ("q1", 'q "\u00e9\ud83d"'):
             for record in trace:
-                expected = json.dumps({
-                    "query_id": qid,
-                    "round": record.round,
-                    "retrieved": [{"doc_id": h.doc_id, "score": h.score, "rank": h.rank}
-                                  for h in record.retrieved],
-                    "feedback_docs": record.feedback_docs,
-                    "rendered_query": record.rendered_query,
-                    "expansion_segment": record.expansion_segment,
-                    "thinking_traces": record.thinking_traces,
-                })
-                assert record.trace_line(qid) == expected
+                assert record.trace_line(qid) == expected_trace_line(record, qid)
+
+    @pytest.mark.parametrize("scores", [
+        # either side of [1e-4, 1e16), where the score texts change path
+        [BELOW_1E16, 1e15, 12.0, 0.1, 1e-4],
+        [1e16, BELOW_1E16, 12.0, 1e-4, BELOW_1E_4, 5e-324],
+        # lengths about the powers of two that rank texts are cached for
+        *(np.linspace(30.0, 1.0, n).tolist() for n in (1, 2, 3, 4, 1023, 1024, 1025)),
+    ])
+    def test_hand_built_rankings(self, scores):
+        names = [f"d{i}" for i in range(len(scores))]
+        ranking = Ranking(np.arange(len(scores)), np.array(scores), names)
+        record = RoundRecord(round=1, retrieved=ranking, feedback_docs=["d0"],
+                             rendered_query="zork", expansion_segment="flim",
+                             thinking_traces=["why"])
+        assert record.trace_line("q1") == expected_trace_line(record, "q1")
 
     def test_empty_ranking(self):
         corpus, index = feedback_setup()
