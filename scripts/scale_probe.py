@@ -1,0 +1,113 @@
+"""Seeded scale probe: index build, save, load and search on a large synthetic corpus.
+
+    python3 scripts/scale_probe.py                        # 200,000 passages
+    python3 scripts/scale_probe.py --passages 1000000 --seed 5
+
+Run from the root of a source tree: iterqe is imported from ``src/`` and
+the corpus generator from ``perfbench/gen.py`` of the same tree (read
+only), with that generator's sizes except the number of passages. A child
+process writes the corpus to a temporary directory, removed afterwards,
+so that generation leaves nothing in the measured process. The last line
+of standard output is one JSON object: wall seconds of ingest, build,
+save and load, the index file's bytes, the process's peak RSS so far
+after ingest, build and load and at the end, and the median
+``search_topk`` milliseconds (top 1000) for queries of 4, 50, 200 and
+1000 words drawn from the corpus.
+
+It is not a test, and Tier-1 does not run it: 200,000 passages need
+about half a gigabyte and a minute or more on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import multiprocessing
+import os
+import platform
+import random
+import resource
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import gen  # noqa: E402
+import numpy as np  # noqa: E402
+from iterqe.corpus import ingest_corpus  # noqa: E402
+from iterqe.index import PostingIndex, build_index, search_topk  # noqa: E402
+
+DEFAULT_PASSAGES = 200_000
+QUERY_LENGTHS = (4, 50, 200, 1000)
+# passages whose words make up the query vocabulary
+QUERY_SOURCE_DOCS = 2000
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+def timed(fn, *args):
+    start = time.perf_counter()
+    value = fn(*args)
+    return value, time.perf_counter() - start
+
+
+def probe(passages: int, seed: int, work_dir: str) -> dict:
+    child = multiprocessing.get_context("spawn").Process(
+        target=gen.generate, args=(work_dir, seed, gen.Sizes(passages=passages)))
+    child.start()
+    child.join()
+    if child.exitcode != 0:
+        sys.exit(f"error: corpus generation failed (exit code {child.exitcode})")
+    corpus_path = os.path.join(work_dir, "corpus.jsonl")
+    out = {"passages": passages, "seed": seed, "corpus_bytes": os.path.getsize(corpus_path),
+           "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                       "numpy": np.__version__}}
+    corpus, out["ingest_s"] = timed(ingest_corpus, corpus_path)
+    out["peak_rss_after_ingest_mb"] = peak_rss_mb()
+    index, out["build_s"] = timed(build_index, corpus)
+    out["peak_rss_after_build_mb"] = peak_rss_mb()
+    out["postings"] = int(index.offsets[-1])
+    out["terms"] = len(index.terms)
+    index_path = os.path.join(work_dir, "index.npz")
+    _, out["save_s"] = timed(index.save, index_path)
+    out["index_bytes"] = os.path.getsize(index_path)
+    del index
+    gc.collect()
+    index, out["load_s"] = timed(PostingIndex.load, index_path)
+    out["peak_rss_after_load_mb"] = peak_rss_mb()
+
+    rng = random.Random(seed)
+    words = [w for doc, _ in zip(corpus, range(QUERY_SOURCE_DOCS)) for w in doc.text.split()]
+    for length in QUERY_LENGTHS:
+        query = " ".join(rng.choice(words) for _ in range(length))
+        times = [timed(search_topk, index, query, 1000)[1] for _ in range(3)]
+        out[f"search_ms_q{length}"] = statistics.median(times) * 1000.0
+    out["peak_rss_mb"] = peak_rss_mb()
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--passages", type=int, default=DEFAULT_PASSAGES)
+    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--work-dir", default=None,
+                        help="parent of the temporary corpus directory (default: the system's)")
+    args = parser.parse_args()
+    if args.passages < 1:
+        parser.error("--passages must be >= 1")
+    with tempfile.TemporaryDirectory(prefix="iterqe-scale-", dir=args.work_dir) as work_dir:
+        result = probe(args.passages, args.seed, work_dir)
+    for key, value in result.items():
+        if key != "machine":
+            print(f"{key:<25} {value:.4g}" if isinstance(value, float) else f"{key:<25} {value}")
+    print(json.dumps(result, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

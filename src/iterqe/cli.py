@@ -103,7 +103,7 @@ def _pipeline_options(fn):
         click.option("--format", "fmt", type=click.Choice(["jsonl", "tsv"]), default="jsonl"),
         click.option("--index", "index_path", required=True, type=INPUT_FILE),
         click.option("--queries", "queries_path", required=True, type=INPUT_FILE),
-        click.option("--out-dir", required=True, type=click.Path()),
+        click.option("--out-dir", required=True, type=click.Path(file_okay=False)),
         click.option("--rounds", type=int, default=None),
         click.option("--samples", type=int, default=None),
         click.option("--top-k", type=int, default=None),
@@ -261,7 +261,7 @@ def cmd_run(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
 @click.option("--qrels", "qrels_path", required=True, type=INPUT_FILE)
 @click.option("--threshold", type=int, default=1, show_default=True,
               help="Minimum grade counted as relevant for mAP/recall.")
-@click.option("--json", "json_path", type=click.Path(), default=None)
+@click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def cmd_eval(run_path, qrels_path, threshold, json_path):
     """Score a TREC run against qrels (mAP, nDCG@10, Recall@1000)."""
     try:

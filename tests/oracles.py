@@ -36,6 +36,32 @@ def brute_force_ranking(texts, doc_ids, query, k1=0.9, b=0.4):
     return scored
 
 
+def reference_postings(texts):
+    """CSR postings built one document at a time, with no numpy.
+
+    Returns ``(terms, offsets, doc_ordinals, tfs, doc_lengths)`` as lists:
+    terms in order of first occurrence in the corpus, and each term's
+    postings, ``(ordinal, tf)`` by ascending ordinal, concatenated by term.
+    """
+    rows = {}
+    postings = []
+    doc_lengths = []
+    for ordinal, text in enumerate(texts):
+        terms = analyze(text)
+        doc_lengths.append(len(terms))
+        for term, tf in Counter(terms).items():
+            if term not in rows:
+                rows[term] = len(postings)
+                postings.append([])
+            postings[rows[term]].append((ordinal, tf))
+    offsets = [0]
+    for plist in postings:
+        offsets.append(offsets[-1] + len(plist))
+    doc_ordinals = [ordinal for plist in postings for ordinal, _ in plist]
+    tfs = [tf for plist in postings for _, tf in plist]
+    return list(rows), offsets, doc_ordinals, tfs, doc_lengths
+
+
 def assert_same_ranking(hits, oracle, k, rel=1e-9):
     """Check the program's top-k ``hits`` against the whole ``brute_force_ranking``.
 

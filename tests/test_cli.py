@@ -222,6 +222,16 @@ class TestRunCommand:
         assert "not an index file" in result.output
         assert not out.exists()
 
+    def test_out_dir_that_is_a_file_rejected(self, workspace):
+        idx = build_index_file(workspace)
+        out = workspace / "queries.tsv"
+        before = out.read_bytes()
+        result = invoke(run_args(workspace, idx, out))
+        assert result.exit_code != 0
+        assert "is a file" in result.output
+        assert out.read_bytes() == before
+        assert not (workspace / "iterqe.run.txt").exists()
+
     def test_malformed_corpus(self, workspace):
         idx = build_index_file(workspace)
         (workspace / "corpus.jsonl").write_text('{"id": "a", "contents": "x"}\nnot json\n')
@@ -259,6 +269,17 @@ class TestEvalCommand:
         assert result.exit_code == 0
         data = json.loads(out_json.read_text())
         assert set(data) == {"per_query", "means"}
+
+    def test_json_output_that_is_a_directory_rejected(self, workspace):
+        run = workspace / "r.run"
+        run.write_text("q1 Q0 target 1 3.0 t\n")
+        result = invoke(["eval", "--run", str(run),
+                         "--qrels", str(workspace / "qrels.txt"),
+                         "--json", str(workspace)])
+        assert result.exit_code != 0
+        assert "is a directory" in result.output
+        # rejected before the metric table is printed
+        assert "mean" not in result.output and "q1" not in result.output
 
 
 class TestAblateCommand:
@@ -335,6 +356,21 @@ class TestAblateCommand:
         assert result.exit_code != 0
         assert ("version 1" if version_1 else "not an index file") in result.output
         assert not out.exists()
+
+    def test_out_dir_that_is_a_file_rejected(self, workspace):
+        idx = build_index_file(workspace)
+        out = workspace / "queries.tsv"
+        before = out.read_bytes()
+        result = invoke(["ablate",
+                         "--corpus", str(workspace / "corpus.jsonl"),
+                         "--index", str(idx),
+                         "--queries", str(out),
+                         "--out-dir", str(out),
+                         "--cells", "full"])
+        assert result.exit_code != 0
+        assert "is a file" in result.output
+        assert out.read_bytes() == before
+        assert not (workspace / "ablate_full.run.txt").exists()
 
     def test_unknown_cell(self, workspace):
         idx = build_index_file(workspace)

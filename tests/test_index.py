@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import assert_same_ranking, brute_force_ranking
+from oracles import assert_same_ranking, brute_force_ranking, reference_postings
 
+from iterqe import index as index_module
 from iterqe.corpus import Corpus, Document
 from iterqe.index import Bm25Params, PostingIndex, build_index, search_topk
 
@@ -61,6 +62,55 @@ class TestBuild:
             assert ords == sorted(set(ords))
             for d, tf in postings:
                 assert 1 <= tf <= index.doc_lengths[d]
+
+
+# "the" and "of" are stopwords, so a document may analyse to no terms at all
+CHUNK_WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "the", "of"]
+INDEX_ARRAYS = {"offsets": np.int64, "doc_ordinals": np.int32, "tfs": np.int32,
+                "doc_lengths": np.int32}
+
+
+def assert_arrays_equal(index, expected):
+    """Same values and the dtypes the rest of the program expects."""
+    for name, dtype in INDEX_ARRAYS.items():
+        got = getattr(index, name)
+        assert got.dtype == dtype, name
+        assert got.tolist() == list(expected[name]), name
+
+
+class TestChunkedBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(docs=st.lists(st.lists(st.sampled_from(CHUNK_WORDS), max_size=6), min_size=1,
+                         max_size=12))
+    # "zeta" first appears in the last chunk whatever the chunk size; d1 is empty
+    @example(docs=[["alpha", "alpha", "beta"], [], ["the", "of"], ["beta", "alpha"],
+                   ["zeta", "alpha", "zeta"]])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 10_000])
+    def test_equals_per_document_build(self, chunk, docs):
+        texts = [" ".join(words) for words in docs]
+        terms, offsets, doc_ordinals, tfs, doc_lengths = reference_postings(texts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(index_module, "BUILD_CHUNK_DOCS", chunk)
+            index = build_index(make_corpus(texts))
+        assert index.terms == terms
+        assert index.doc_ids == [f"d{i}" for i in range(len(texts))]
+        assert_arrays_equal(index, {"offsets": offsets, "doc_ordinals": doc_ordinals,
+                                    "tfs": tfs, "doc_lengths": doc_lengths})
+        reference = PostingIndex(terms, np.array(offsets), np.array(doc_ordinals),
+                                 np.array(tfs), np.array(doc_lengths), index.doc_ids)
+        assert index.impacts.dtype == np.float64
+        assert index.impacts.tobytes() == reference.impacts.tobytes()
+
+    def test_stopwords_only_corpus_saves_and_loads(self, tmp_path):
+        index = build_index(make_corpus(["the of", "and", ""]))
+        assert index.terms == [] and index.offsets.tolist() == [0]
+        path = tmp_path / "index.npz"
+        index.save(str(path))
+        loaded = PostingIndex.load(str(path))
+        assert loaded.terms == [] and loaded.doc_ids == ["d0", "d1", "d2"]
+        assert_arrays_equal(loaded, {"offsets": [0], "doc_ordinals": [], "tfs": [],
+                                     "doc_lengths": [0, 0, 0]})
+        assert len(search_topk(loaded, "alpha", 3)) == 0
 
 
 class TestScore:
@@ -163,6 +213,69 @@ class TestPersistence:
         assert loaded.params == index.params
         for query in ("columbia", "river boat", "jacket"):
             assert list(search_topk(loaded, query, 3)) == list(search_topk(index, query, 3))
+
+    def test_saved_arrays_are_narrowest_unsigned(self, tmp_path):
+        texts = [f"river basin{i} " + "wax " * (i % 300) for i in range(300)]
+        index = build_index(make_corpus(texts))
+        path = tmp_path / "index.npz"
+        index.save(str(path))
+        with np.load(path) as npz:
+            stored = {name: npz[name] for name in npz.files}
+        # 300 documents: ordinals up to 299 need 16 bits, a tf of at most 299 too
+        assert stored["doc_ordinals"].dtype == np.uint16
+        assert stored["tfs"].dtype == np.uint16
+        for name in ("offsets", "doc_ordinals", "tfs", "doc_lengths", "term_offsets",
+                     "doc_id_offsets"):
+            values = stored[name]
+            assert values.dtype == np.min_scalar_type(int(values.max())), name
+        loaded = PostingIndex.load(str(path))
+        assert_arrays_equal(loaded, {name: getattr(index, name).tolist()
+                                     for name in INDEX_ARRAYS})
+        assert loaded.impacts.tobytes() == index.impacts.tobytes()
+
+    def test_array_that_would_not_shrink_keeps_its_dtype(self, tmp_path):
+        # ordinals above 65,535 need 32 bits: stored as int32, loaded without a copy
+        n = 70_000
+        index = PostingIndex(["wax"], np.array([0, 2]), np.array([0, n - 1]), np.array([1, 3]),
+                             np.ones(n, dtype=np.int32), [f"d{i}" for i in range(n)])
+        path = tmp_path / "index.npz"
+        index.save(str(path))
+        with np.load(path) as npz:
+            stored = {name: npz[name].dtype for name in INDEX_ARRAYS}
+        assert stored == {"offsets": np.uint8, "doc_ordinals": np.int32, "tfs": np.uint8,
+                          "doc_lengths": np.uint8}
+        loaded = PostingIndex.load(str(path))
+        assert_arrays_equal(loaded, {name: getattr(index, name).tolist()
+                                     for name in INDEX_ARRAYS})
+        assert loaded.impacts.tobytes() == index.impacts.tobytes()
+
+    def test_loads_file_with_wide_dtypes(self, tmp_path):
+        # the dtypes of every array as index files of version 2 were first written
+        index = build_index(make_corpus(["columbia river", "river boat", "jacket"]))
+
+        def encoded(strings):
+            data = [s.encode("utf-8") for s in strings]
+            offsets = np.cumsum([0] + [len(d) for d in data], dtype=np.int64)
+            return np.frombuffer(b"".join(data), dtype=np.uint8), offsets
+
+        term_bytes, term_offsets = encoded(index.terms)
+        id_bytes, id_offsets = encoded(index.doc_ids)
+        path = tmp_path / "wide.npz"
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh, format=np.frombuffer(b"iterqe-index", dtype=np.uint8),
+                version=np.array([2], dtype=np.int64), params=np.array([0.9, 0.4]),
+                term_bytes=term_bytes, term_offsets=term_offsets,
+                doc_id_bytes=id_bytes, doc_id_offsets=id_offsets,
+                offsets=index.offsets.astype(np.int64),
+                doc_ordinals=index.doc_ordinals.astype(np.int32),
+                tfs=index.tfs.astype(np.int32), doc_lengths=index.doc_lengths.astype(np.int32),
+            )
+        loaded = PostingIndex.load(str(path))
+        assert loaded.terms == index.terms and loaded.doc_ids == index.doc_ids
+        assert_arrays_equal(loaded, {name: getattr(index, name).tolist()
+                                     for name in INDEX_ARRAYS})
+        assert loaded.impacts.tobytes() == index.impacts.tobytes()
 
     def test_rejects_wrong_format(self, tmp_path):
         import gzip
