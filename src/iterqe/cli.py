@@ -50,6 +50,8 @@ def _read_queries(path: str) -> list[tuple[str, str]]:
             parts = line.rstrip("\n").split("\t", 1)
             if len(parts) != 2:
                 raise click.ClickException(f"{path}:{line_no}: expected qid<TAB>text")
+            if not parts[1].strip():
+                raise click.ClickException(f"{path}:{line_no}: empty query text")
             if parts[0] in queries:
                 raise click.ClickException(f"{path}:{line_no}: duplicate query id {parts[0]!r}")
             queries[parts[0]] = parts[1]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import orjson
 
 
 class CorpusFormatError(ValueError):
@@ -16,32 +18,89 @@ class Document:
     text: str
 
 
-@dataclass
 class Corpus:
-    """Immutable-after-ingestion document collection with id lookup."""
+    """Immutable-after-ingestion document collection with id lookup.
 
-    docs: list[Document] = field(default_factory=list)
-    _by_id: dict[str, Document] = field(default_factory=dict, repr=False)
+    Passages are held as two columns, ``doc_ids`` and ``texts``, indexed by
+    ordinal, plus a map from id to ordinal. A ``Document`` is built only
+    when one is asked for: a pipeline reads a few passages a round, and a
+    Python object per passage would cost memory and ingest time.
+    """
+
+    __slots__ = ("doc_ids", "texts", "_ordinals")
+
+    def __init__(self):
+        self.doc_ids: list[str] = []
+        self.texts: list[str] = []
+        self._ordinals: dict[str, int] = {}
 
     @property
     def doc_count(self) -> int:
-        return len(self.docs)
+        return len(self.doc_ids)
 
     def get(self, doc_id: str) -> Document:
-        return self._by_id[doc_id]
+        return Document(doc_id, self.texts[self._ordinals[doc_id]])
 
     def __iter__(self):
-        return iter(self.docs)
+        return map(Document, self.doc_ids, self.texts)
 
     def _add(self, doc: Document, line_no: int) -> None:
-        if not doc.doc_id:
+        self._append(doc.doc_id, doc.text, line_no)
+
+    def _append(self, doc_id: str, text: str, line_no: int) -> None:
+        if not doc_id:
             raise CorpusFormatError(f"line {line_no}: empty document id")
-        if doc.doc_id in self._by_id:
-            raise CorpusFormatError(
-                f"line {line_no}: duplicate document id {doc.doc_id!r}"
-            )
-        self.docs.append(doc)
-        self._by_id[doc.doc_id] = doc
+        ordinal = len(self.doc_ids)
+        if self._ordinals.setdefault(doc_id, ordinal) != ordinal:
+            raise CorpusFormatError(f"line {line_no}: duplicate document id {doc_id!r}")
+        self.doc_ids.append(doc_id)
+        self.texts.append(text)
+
+
+def _jsonl_rows(lines):
+    """``(line_no, doc_id, text)`` of every non-blank JSONL line.
+
+    orjson parses each line; its record is used only when ``"id"`` and
+    ``"contents"`` are both strings. Any other line is parsed again with
+    ``json``, which decides as it always has: orjson reads big integers as
+    floats (so ``str`` of the id would differ) and rejects ``NaN``,
+    ``1e400`` and lone-surrogate escapes, all of which ``json`` accepts.
+    """
+    loads = orjson.loads
+    for line_no, line in enumerate(lines, 1):
+        try:
+            record = loads(line)
+        except orjson.JSONDecodeError:
+            record = None
+        if type(record) is dict:
+            doc_id = record.get("id")
+            text = record.get("contents")
+            if type(doc_id) is str and type(text) is str:
+                yield line_no, doc_id, text
+                continue
+        if line.strip():
+            yield line_no, *_json_row(line, line_no)
+
+
+def _json_row(line: str, line_no: int) -> tuple[str, str]:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(record, dict) or "id" not in record or "contents" not in record:
+        raise CorpusFormatError(f'line {line_no}: expected object with "id" and "contents"')
+    return str(record["id"]), str(record["contents"])
+
+
+def _tsv_rows(lines):
+    """``(line_no, doc_id, text)`` of every non-blank ``id<TAB>text`` line."""
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split("\t", 1)
+        if len(parts) != 2:
+            raise CorpusFormatError(f"line {line_no}: expected id<TAB>text")
+        yield line_no, parts[0], parts[1]
 
 
 def ingest_corpus(path: str, fmt: str = "jsonl") -> Corpus:
@@ -49,28 +108,10 @@ def ingest_corpus(path: str, fmt: str = "jsonl") -> Corpus:
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unknown corpus format {fmt!r}")
     corpus = Corpus()
+    append = corpus._append
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            if fmt == "jsonl":
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(
-                        f"line {line_no}: invalid JSON ({exc.msg})"
-                    ) from exc
-                if not isinstance(record, dict) or "id" not in record or "contents" not in record:
-                    raise CorpusFormatError(
-                        f'line {line_no}: expected object with "id" and "contents"'
-                    )
-                doc = Document(str(record["id"]), str(record["contents"]))
-            else:
-                parts = line.rstrip("\n").split("\t", 1)
-                if len(parts) != 2:
-                    raise CorpusFormatError(f"line {line_no}: expected id<TAB>text")
-                doc = Document(parts[0], parts[1])
-            corpus._add(doc, line_no)
+        for line_no, doc_id, text in (_jsonl_rows if fmt == "jsonl" else _tsv_rows)(fh):
+            append(doc_id, text, line_no)
     return corpus
 
 

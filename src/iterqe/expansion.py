@@ -7,7 +7,7 @@ import random
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import requests
 
@@ -83,7 +83,11 @@ def build_prompt(inputs: PromptInputs) -> str:
 
 
 def strip_thinking(raw: str) -> ExpansionResponse:
-    """Split a raw generation into its thinking trace and answer text."""
+    """Split a raw generation into its thinking trace and answer text.
+
+    A ``</think>`` with no opener before it ends a trace whose opener was
+    in the prompt, as R1-style chat templates put it there.
+    """
     text = raw
     if THINK_OPEN in text:
         start = text.index(THINK_OPEN) + len(THINK_OPEN)
@@ -94,6 +98,9 @@ def strip_thinking(raw: str) -> ExpansionResponse:
             return ExpansionResponse(thinking, answer, raw)
         # opener without closer: everything after it is thinking
         return ExpansionResponse(text[start:], "", raw, degenerate=True)
+    if THINK_CLOSE in text:
+        end = text.index(THINK_CLOSE)
+        return ExpansionResponse(text[:end], text[end + len(THINK_CLOSE):].strip(), raw)
     return ExpansionResponse("", text.strip(), raw)
 
 
@@ -137,7 +144,13 @@ class ChatCompletionsBackend(ExpansionBackend):
                 last_error = exc
             else:
                 if resp.status_code == 200:
-                    return resp.json()
+                    try:
+                        return resp.json()
+                    except ValueError:
+                        raise GenerationError(
+                            f"backend returned a non-JSON response: "
+                            f"{resp.status_code} {resp.text[:200]}"
+                        ) from None
                 if 400 <= resp.status_code < 500:
                     raise GenerationError(f"backend rejected request: {resp.status_code} {resp.text[:200]}")
                 last_error = GenerationError(f"backend error {resp.status_code}")
@@ -161,13 +174,20 @@ class ChatCompletionsBackend(ExpansionBackend):
         payload = self._post(body)
         responses = []
         for choice in payload.get("choices", []):
-            raw = choice["message"]["content"]
+            message = choice["message"]
+            # reasoning servers may send a null content, and the thinking in a
+            # field of its own
+            raw = message["content"] or ""
             if prefilled:
                 # continuation after the prefill carries no thinking of its own
                 raw = raw.removeprefix(NO_THINK_PREFILL)
-                responses.append(ExpansionResponse("", raw.strip(), raw))
+                response = ExpansionResponse("", raw.strip(), raw)
             else:
-                responses.append(strip_thinking(raw))
+                response = strip_thinking(raw)
+            reasoning = message.get("reasoning_content")
+            if isinstance(reasoning, str):
+                response = replace(response, thinking_trace=reasoning)
+            responses.append(response)
         if len(responses) != params.num_samples:
             raise GenerationError(
                 f"backend returned {len(responses)} samples, expected {params.num_samples}"

@@ -15,7 +15,7 @@ import zipfile
 import zlib
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -61,17 +61,25 @@ class Ranking:
     ``scores``.
     """
 
-    __slots__ = ("ordinals", "scores", "_names")
+    __slots__ = ("ordinals", "scores", "_names", "_ids")
 
     def __init__(self, ordinals: np.ndarray, scores: np.ndarray, names: list[str]):
         self.ordinals = ordinals
         self.scores = scores
         self._names = names
+        self._ids: list[str] | None = None
 
     def doc_ids(self, n: int | None = None) -> list[str]:
-        """The ranked doc ids, or the first ``n`` of them."""
-        names = self._names
-        return [names[o] for o in self.ordinals[:n].tolist()]
+        """The ranked doc ids, or the first ``n`` of them.
+
+        The full list is built on the first call and returned by later ones
+        (a round reads it to filter feedback and again to write the trace),
+        so callers must not change it.
+        """
+        if self._ids is None:
+            names = self._names
+            self._ids = [names[o] for o in self.ordinals.tolist()]
+        return self._ids if n is None else self._ids[:n]
 
     def __len__(self) -> int:
         return len(self.ordinals)
@@ -228,12 +236,9 @@ def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingInde
     # of 200,000 passages.
     rows, ordinals, tfs = array("i"), array("i"), array("i")
     doc_lengths = array("i")
-    doc_ids: list[str] = []
-    docs = iter(corpus)
-    start = 0
-    while chunk := list(islice(docs, BUILD_CHUNK_DOCS)):
-        analyzed = [analyze(doc.text) for doc in chunk]
-        doc_ids.extend(doc.doc_id for doc in chunk)
+    for start in range(0, corpus.doc_count, BUILD_CHUNK_DOCS):
+        chunk = corpus.texts[start:start + BUILD_CHUNK_DOCS]
+        analyzed = [analyze(text) for text in chunk]
         flat = list(chain.from_iterable(analyzed))
         for t in dict.fromkeys(flat):
             term_rows.setdefault(t, len(term_rows))
@@ -248,7 +253,6 @@ def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingInde
         ordinals.frombytes(chunk_ordinals.astype(np.int32).tobytes())
         tfs.frombytes(counts.astype(np.int32).tobytes())
         doc_lengths.frombytes(lengths.astype(np.int32).tobytes())
-        start += len(chunk)
         del chunk, analyzed, flat, lengths, keys, counts, chunk_rows, chunk_ordinals
     row_of = np.frombuffer(rows, dtype=np.int32)
     # a stable sort by row keeps each term's postings in ascending ordinal order
@@ -265,7 +269,7 @@ def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingInde
         doc_ordinals=sorted_ordinals,
         tfs=sorted_tfs,
         doc_lengths=np.frombuffer(doc_lengths, dtype=np.int32).copy(),
-        doc_ids=doc_ids,
+        doc_ids=list(corpus.doc_ids),
         params=params,
     )
 

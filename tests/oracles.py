@@ -5,6 +5,7 @@ ranking is recomputed document-by-document from the scoring definition, and
 metrics are recomputed from the on-disk TREC files.
 """
 
+import json
 import math
 from collections import Counter
 
@@ -60,6 +61,36 @@ def reference_postings(texts):
     doc_ordinals = [ordinal for plist in postings for ordinal, _ in plist]
     tfs = [tf for plist in postings for _, tf in plist]
     return list(rows), offsets, doc_ordinals, tfs, doc_lengths
+
+
+def reference_ingest_jsonl(path):
+    """``(doc_ids, texts)`` of a JSONL corpus, parsed one line at a time with ``json``.
+
+    Raises ``ValueError`` with the message the program gives for the first
+    bad line: invalid JSON, a record that is not an object with ``"id"`` and
+    ``"contents"``, an empty id or a repeated id. Non-string ids and
+    contents are read as their ``str``.
+    """
+    doc_ids, texts, seen = [], [], set()
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {line_no}: invalid JSON ({exc.msg})")
+            if not isinstance(record, dict) or "id" not in record or "contents" not in record:
+                raise ValueError(f'line {line_no}: expected object with "id" and "contents"')
+            doc_id, text = str(record["id"]), str(record["contents"])
+            if not doc_id:
+                raise ValueError(f"line {line_no}: empty document id")
+            if doc_id in seen:
+                raise ValueError(f"line {line_no}: duplicate document id {doc_id!r}")
+            seen.add(doc_id)
+            doc_ids.append(doc_id)
+            texts.append(text)
+    return doc_ids, texts
 
 
 def assert_same_ranking(hits, oracle, k, rel=1e-9):

@@ -198,6 +198,16 @@ class TestRunCommand:
         assert "queries.tsv:2: duplicate query id 'q1'" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["", "   ", " \t "])
+    def test_blank_query_text_rejected(self, workspace, text):
+        idx = build_index_file(workspace)
+        (workspace / "queries.tsv").write_text(f"q1\tzork flim\nq2\t{text}\n")
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out))
+        assert result.exit_code != 0
+        assert "queries.tsv:2: empty query text" in result.output
+        assert not out.exists()
+
     def test_index_that_is_not_gzip(self, workspace):
         out = workspace / "out_bad"
         result = invoke(run_args(workspace, workspace / "corpus.jsonl", out))
@@ -394,6 +404,19 @@ class TestAblateCommand:
                          "--cells", ","])
         assert result.exit_code != 0
         assert "--cells" in result.output
+        assert not out.exists()
+
+    def test_blank_query_text_rejected(self, workspace):
+        idx = build_index_file(workspace)
+        (workspace / "queries.tsv").write_text("q1\tzork flim\nq2\t   \n")
+        out = workspace / "ablate_bad"
+        result = invoke(["ablate",
+                         "--corpus", str(workspace / "corpus.jsonl"),
+                         "--index", str(idx),
+                         "--queries", str(workspace / "queries.tsv"),
+                         "--out-dir", str(out)])
+        assert result.exit_code != 0
+        assert "queries.tsv:2: empty query text" in result.output
         assert not out.exists()
 
 

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from oracles import reference_ingest_jsonl
 
-from iterqe.corpus import CorpusFormatError, ingest_corpus, truncate_text
+from iterqe.corpus import Corpus, CorpusFormatError, Document, ingest_corpus, truncate_text
+from iterqe.index import build_index
 
 
 def write_jsonl(path, records):
@@ -71,6 +74,88 @@ class TestIngest:
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"id": "x", "contents": ""}])
         assert ingest_corpus(str(path), "jsonl").get("x").text == ""
+
+
+# JSON values on which orjson and json disagree or that are not strings:
+# big integers (orjson reads them as floats), NaN and 1e400 (orjson rejects
+# them), lone-surrogate escapes, and nested values
+ODD_VALUES = ["123456789012345678901234567890", "-0", "1.5", "1e400", "NaN", "-Infinity",
+              "true", "null", '"\\ud800"', '"a\\udfffb"', '"\\ud83d\\ude00"',
+              '[1, {"id": "x"}]', '{"contents": "nested"}', '""']
+JSON_VALUES = st.one_of(
+    st.sampled_from(["d1", "d2", "d3", "", " "]).map(json.dumps),
+    st.text(max_size=6).map(lambda t: json.dumps(t, ensure_ascii=False)),
+    st.integers(-3, 3).map(json.dumps),
+    st.sampled_from(ODD_VALUES),
+)
+# objects built from key/value pairs, so that keys may repeat or be missing
+OBJECTS = st.lists(
+    st.tuples(st.sampled_from(["id", "contents", "other"]), JSON_VALUES), max_size=4,
+).map(lambda pairs: "{" + ", ".join(f'"{k}": {v}' for k, v in pairs) + "}")
+LINES = st.one_of(
+    OBJECTS, OBJECTS, OBJECTS,
+    st.sampled_from(["", " ", "\t", "not json", "{", "[1, 2]", '"d1"', "3", "null",
+                     '{"id": "d9", "contents": }', '\ufeff{"id": "d9", "contents": "x"}']),
+    st.text(max_size=8).filter(lambda t: "\n" not in t and "\r" not in t),
+)
+
+
+class TestJsonlMatchesReference:
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(LINES, max_size=8))
+    @example(lines=['{"id": 123456789012345678901234567890, "contents": "x"}'])
+    @example(lines=['{"id": "d1", "contents": "a"}', '{"id": 1e400, "contents": NaN}',
+                    '{"id": "\\ud800", "id": "d2", "contents": "b"}'])
+    def test_same_columns_or_same_error(self, tmp_path, lines):
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            expected = reference_ingest_jsonl(str(path))
+        except ValueError as exc:
+            with pytest.raises(CorpusFormatError) as info:
+                ingest_corpus(str(path), "jsonl")
+            assert str(info.value) == str(exc)
+        else:
+            corpus = ingest_corpus(str(path), "jsonl")
+            assert (corpus.doc_ids, corpus.texts) == expected
+
+
+class TestColumns:
+    def test_documents_built_on_demand(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": "d1", "contents": "alpha"}, {"id": "d2", "contents": "beta"}])
+        corpus = ingest_corpus(str(path), "jsonl")
+        assert corpus.doc_ids == ["d1", "d2"]
+        assert corpus.texts == ["alpha", "beta"]
+        assert list(corpus) == [Document("d1", "alpha"), Document("d2", "beta")]
+        assert corpus.get("d2") == Document("d2", "beta")
+        with pytest.raises(KeyError):
+            corpus.get("d3")
+
+    def test_hand_built_corpus_rejects_empty_and_duplicate_ids(self):
+        corpus = Corpus()
+        corpus._add(Document("d1", "a"), 1)
+        with pytest.raises(CorpusFormatError, match="line 2: duplicate document id 'd1'"):
+            corpus._add(Document("d1", "b"), 2)
+        with pytest.raises(CorpusFormatError, match="line 3: empty document id"):
+            corpus._add(Document("", "c"), 3)
+        assert corpus.doc_ids == ["d1"] and corpus.texts == ["a"]
+
+    def test_index_equals_one_built_from_documents(self, tmp_path):
+        rng = np.random.default_rng(7)
+        words = ["alpha", "beta", "gamma", "delta", "the", "of", "river", "boat"]
+        docs = [Document(f"p{i}", " ".join(rng.choice(words, size=rng.integers(0, 9))))
+                for i in range(2500)]
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": d.doc_id, "contents": d.text} for d in docs])
+        by_hand = Corpus()
+        for line_no, doc in enumerate(docs, 1):
+            by_hand._add(doc, line_no)
+        got, expected = build_index(ingest_corpus(str(path))), build_index(by_hand)
+        assert got.terms == expected.terms
+        assert got.doc_ids == expected.doc_ids == [d.doc_id for d in docs]
+        for name in ("offsets", "doc_ordinals", "tfs", "doc_lengths", "impacts"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 class TestTruncate:

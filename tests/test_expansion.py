@@ -1,4 +1,5 @@
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
 from iterqe.expansion import (
@@ -67,6 +68,17 @@ class TestStripThinking:
         assert resp.answer_text == ""
         assert resp.thinking_trace == "abc"
 
+    def test_lone_close_ends_thinking(self):
+        resp = strip_thinking("I reason here</think>the answer")
+        assert resp.thinking_trace == "I reason here"
+        assert resp.answer_text == "the answer"
+        assert not resp.degenerate
+
+    def test_lone_close_with_empty_answer(self):
+        resp = strip_thinking("only reasoning</think>  ")
+        assert resp.thinking_trace == "only reasoning"
+        assert resp.answer_text == ""
+
     def test_raw_preserved(self):
         raw = "<think>t</think> answer here "
         assert strip_thinking(raw).raw_text == raw
@@ -129,6 +141,13 @@ class FakeResponse:
 
     def json(self):
         return self._payload
+
+
+class NonJsonResponse(FakeResponse):
+    """A 200 response whose body is not JSON, as a proxy's error page."""
+
+    def json(self):
+        raise requests.JSONDecodeError("Expecting value", self.text, 0)
 
 
 class FakeSession:
@@ -219,3 +238,34 @@ class TestHttpBackend:
         backend, _ = self.make([FakeResponse(200, chat_payload("", ""))])
         with pytest.raises(GenerationError, match="empty"):
             backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=2))
+
+    def test_non_json_200_is_error(self):
+        page = "<html><body>502 Bad Gateway</body></html>"
+        backend, session = self.make([NonJsonResponse(200, text=page)])
+        with pytest.raises(GenerationError, match="non-JSON") as info:
+            backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=1))
+        assert "200 <html><body>502 Bad Gateway" in str(info.value)
+        assert len(session.requests) == 1
+
+    def test_null_content_with_reasoning_field(self):
+        payload = {"choices": [
+            {"message": {"content": None, "reasoning_content": "ran out of tokens"}},
+            {"message": {"content": "the answer", "reasoning_content": "thought hard"}},
+        ]}
+        backend, _ = self.make([FakeResponse(200, payload)])
+        out = backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=2))
+        assert [r.answer_text for r in out] == ["", "the answer"]
+        assert [r.thinking_trace for r in out] == ["ran out of tokens", "thought hard"]
+        assert [r.raw_text for r in out] == ["", "the answer"]
+
+    def test_all_null_content_is_error(self):
+        payload = {"choices": [{"message": {"content": None, "reasoning_content": "t"}}] * 2}
+        backend, _ = self.make([FakeResponse(200, payload)])
+        with pytest.raises(GenerationError, match="empty"):
+            backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=2))
+
+    def test_lone_close_in_content(self):
+        backend, _ = self.make([FakeResponse(200, chat_payload("reasoning</think>answer"))])
+        out = backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=1))
+        assert out[0].thinking_trace == "reasoning"
+        assert out[0].answer_text == "answer"

@@ -367,3 +367,12 @@ class TestRanking:
     def test_shares_the_index_doc_ids(self):
         corpus, index = feedback_setup()
         assert search_topk(index, "zork", 3)._names is index.doc_ids
+
+    def test_doc_ids_built_once(self):
+        corpus, index = feedback_setup()
+        ranking = search_topk(index, "zork flim margle", 10)
+        first_two = ranking.doc_ids(2)
+        ids = ranking.doc_ids()
+        assert ranking.doc_ids() is ids
+        assert first_two == ids[:2]
+        assert ranking.doc_ids(0) == []
