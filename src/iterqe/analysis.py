@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import functools
-import re
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 # Lucene's default English stopword set.
 STOPWORDS = frozenset(
@@ -181,21 +178,48 @@ class PorterStemmer:
         return word
 
 
-# Distinct tokens whose stems ``analyze`` keeps; beyond it the least recently
+# Maps every byte other than a-z and 0-9 to a space. Every non-ASCII
+# character encodes to bytes >= 0x80, so it becomes a separator too.
+_TOKEN_TABLE = bytes(
+    c if (0x61 <= c <= 0x7A or 0x30 <= c <= 0x39) else 0x20 for c in range(256)
+)
+
+
+def tokenize(text: str) -> list[str]:
+    """The runs of ``[a-z0-9]`` in the lowercased text, in one C pass.
+
+    Equals ``re.findall(r"[a-z0-9]+", text.lower())`` on every string: the
+    text is lowercased first (so the Kelvin sign gives ``k``), and a lone
+    surrogate encodes under ``surrogatepass`` to bytes >= 0x80, which
+    separate tokens like any other non-ASCII character.
+    """
+    return (text.lower().encode("utf-8", "surrogatepass")
+            .translate(_TOKEN_TABLE).decode("ascii").split())
+
+
+# Distinct tokens whose terms ``analyze`` keeps; beyond it the least recently
 # used are evicted, so memory stays flat however large the vocabulary.
 STEM_MEMO_SIZE = 1 << 16
 
 _STEMMER = PorterStemmer()
-# Thread-safe; a stem is pure in its token, so a memoised one is exact.
-_stem = functools.lru_cache(maxsize=STEM_MEMO_SIZE)(_STEMMER.stem)
+
+
+def _term(token: str) -> str:
+    # "" for a stopword: Porter never stems a non-empty token to "", so
+    # filtering out falsy terms drops exactly the stopwords
+    return "" if token in STOPWORDS else _STEMMER.stem(token)
+
+
+# Thread-safe; a term is pure in its token, so a memoised one is exact.
+_stem = functools.lru_cache(maxsize=STEM_MEMO_SIZE)(_term)
 
 
 def analyze(text: str) -> list[str]:
     """Lowercase, split on non-alphanumerics, drop stopwords, Porter-stem.
 
     Deterministic; the output feeds both indexing and query scoring so the
-    two sides always agree on vocabulary. Stems come from a bounded memo of
-    ``STEM_MEMO_SIZE`` distinct tokens.
+    two sides always agree on vocabulary. Terms come from a bounded memo of
+    ``STEM_MEMO_SIZE`` distinct tokens, in which a stopword maps to ``""``;
+    on a memo hit no Python code runs for the token.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
-    return [_stem(t) for t in tokens if t not in STOPWORDS]
+    return list(filter(None, map(_stem, tokenize(text))))

@@ -87,6 +87,9 @@ def _json_row(line: str, line_no: int) -> tuple[str, str]:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        # json's decoder recurses once per level of nesting
+        raise CorpusFormatError(f"line {line_no}: invalid JSON (nested too deeply)") from None
     if not isinstance(record, dict) or "id" not in record or "contents" not in record:
         raise CorpusFormatError(f'line {line_no}: expected object with "id" and "contents"')
     return str(record["id"]), str(record["contents"])

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import logging
 import random
-import re
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import requests
 
-from .analysis import STOPWORDS
+from .analysis import STOPWORDS, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -214,12 +214,12 @@ class MockBackend(ExpansionBackend):
         return {"backend": "mock", "mode": self.mode, "seed": self.seed}
 
     def _echo_answer(self, inputs: PromptInputs) -> str:
-        counts: Counter[str] = Counter()
-        for passage in inputs.passages:
-            for tok in re.findall(r"[a-z0-9]+", passage.lower()):
-                if tok not in STOPWORDS:
-                    counts[tok] += 1
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        # a space joins no two tokens, so this counts each passage's tokens
+        counts = Counter(tokenize(" ".join(inputs.passages)))
+        for stopword in STOPWORDS.intersection(counts):
+            del counts[stopword]
+        # count descending, ties by token ascending: the sort is stable
+        ranked = sorted(sorted(counts.items()), key=itemgetter(1), reverse=True)
         terms = [t for t, _ in ranked[:MOCK_ECHO_TERMS]]
         if not terms:
             return inputs.query

@@ -3,17 +3,20 @@
 Postings are held in CSR arrays: the postings of the term in row ``r`` are
 the slice ``offsets[r]:offsets[r + 1]`` of ``doc_ordinals``, ``tfs`` and
 ``impacts``. A posting's impact is its whole BM25 contribution,
-``idf * tf(k1 + 1) / (tf + norm)``, computed once when the index is built or
-loaded, so a search is a scatter-add of query multiplicity x impact over all
-documents (the eager sparse scoring of BM25S, Lù 2024, arXiv:2407.03618).
+``idf * tf(k1 + 1) / (tf + norm)``, computed once when the index is loaded
+or first searched, so a search is a scatter-add of query multiplicity x
+impact over all documents (the eager sparse scoring of BM25S, Lù 2024,
+arXiv:2407.03618).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import zipfile
 import zlib
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -104,13 +107,21 @@ class PostingIndex:
         self.doc_ids = doc_ids
         self.params = params or Bm25Params()
         self.avg_doc_length = int(self.doc_lengths.sum(dtype=np.int64)) / self.doc_count
-        # Position of each document in doc_id order, the tie-break of a ranking.
-        self.doc_id_ranks = np.empty(self.doc_count, dtype=np.int64)
-        self.doc_id_ranks[sorted(range(self.doc_count), key=doc_ids.__getitem__)] = \
-            np.arange(self.doc_count)
-        self.impacts = self._impacts()
 
-    def _impacts(self) -> np.ndarray:
+    # The two arrays below are needed only to search. They are computed on
+    # first use, so that ``iterqe index``, which builds and saves, never
+    # computes them; ``load`` computes both before it returns.
+
+    @functools.cached_property
+    def doc_id_ranks(self) -> np.ndarray:
+        """Position of each document in doc_id order, the tie-break of a ranking."""
+        ranks = np.empty(self.doc_count, dtype=np.int64)
+        ranks[sorted(range(self.doc_count), key=self.doc_ids.__getitem__)] = \
+            np.arange(self.doc_count)
+        return ranks
+
+    @functools.cached_property
+    def impacts(self) -> np.ndarray:
         # idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avgdl)), evaluated
         # in place to hold two float arrays at a time, with the grouping of the
         # scalar formula (IEEE + and * commute), so that every impact equals it
@@ -184,7 +195,7 @@ class PostingIndex:
         if missing:
             raise ValueError(f"{path}: index file lacks {', '.join(missing)}")
         k1, b = arrays["params"].tolist()
-        return cls(
+        index = cls(
             terms=_decode_strings(arrays["term_bytes"], arrays["term_offsets"]),
             offsets=arrays["offsets"],
             doc_ordinals=arrays["doc_ordinals"],
@@ -193,6 +204,10 @@ class PostingIndex:
             doc_ids=_decode_strings(arrays["doc_id_bytes"], arrays["doc_id_offsets"]),
             params=Bm25Params(k1=k1, b=b),
         )
+        # a loaded index is there to be searched: pay for these while loading,
+        # not in the first query
+        index.doc_id_ranks, index.impacts  # noqa: B018
+        return index
 
 
 def _encode_strings(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -278,9 +293,8 @@ def search_topk(index: PostingIndex, query_text: str, k: int) -> Ranking:
     """Top-k BM25 ranking, score descending, ties by doc_id ascending; zero scores dropped."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    term_counts: dict[str, int] = {}
-    for t in analyze(query_text):
-        term_counts[t] = term_counts.get(t, 0) + 1
+    # counted in C, in first-occurrence order
+    term_counts = Counter(analyze(query_text))
     scores = np.zeros(index.doc_count, dtype=np.float64)
     # term by term in first-occurrence order, so that each document's sum is
     # accumulated in the order of the BM25 definition

@@ -7,9 +7,11 @@ metrics are recomputed from the on-disk TREC files.
 
 import json
 import math
+import random
+import re
 from collections import Counter
 
-from iterqe.analysis import analyze
+from iterqe.analysis import STOPWORDS, analyze
 
 
 def brute_force_ranking(texts, doc_ids, query, k1=0.9, b=0.4):
@@ -63,6 +65,28 @@ def reference_postings(texts):
     return list(rows), offsets, doc_ordinals, tfs, doc_lengths
 
 
+def reference_echo_answer(query, passages, seed, n_terms):
+    """The echo_terms mock's answer, computed one token at a time.
+
+    The ``n_terms`` most frequent non-stopword tokens of the passages, by
+    count descending and then token ascending, shuffled by a generator
+    seeded from the seed, the query and the number of passages; the query
+    itself when the passages have no such token.
+    """
+    counts = Counter()
+    for passage in passages:
+        for tok in re.findall(r"[a-z0-9]+", passage.lower()):
+            if tok not in STOPWORDS:
+                counts[tok] += 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    terms = [t for t, _ in ranked[:n_terms]]
+    if not terms:
+        return query
+    rng = random.Random((seed, query, len(passages)).__repr__())
+    rng.shuffle(terms)
+    return " ".join(terms)
+
+
 def reference_ingest_jsonl(path):
     """``(doc_ids, texts)`` of a JSONL corpus, parsed one line at a time with ``json``.
 
@@ -80,6 +104,8 @@ def reference_ingest_jsonl(path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {line_no}: invalid JSON ({exc.msg})")
+            except RecursionError:
+                raise ValueError(f"line {line_no}: invalid JSON (nested too deeply)")
             if not isinstance(record, dict) or "id" not in record or "contents" not in record:
                 raise ValueError(f'line {line_no}: expected object with "id" and "contents"')
             doc_id, text = str(record["id"]), str(record["contents"])

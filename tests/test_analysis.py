@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from iterqe import analysis
-from iterqe.analysis import STEM_MEMO_SIZE, STOPWORDS, PorterStemmer, analyze
+from iterqe.analysis import STEM_MEMO_SIZE, STOPWORDS, PorterStemmer, analyze, tokenize
 
 # Input/output pairs from the published reference vocabulary of the
 # original Porter algorithm.
@@ -85,6 +85,30 @@ def test_analyze_deterministic_and_lowercase(text):
     # no stopword token survives; each other token leaves its stem
     kept = [t for t in re.findall(r"[a-z0-9]+", text.lower()) if t not in STOPWORDS]
     assert out == [PorterStemmer().stem(t) for t in kept]
+
+
+# every code point, surrogates and unassigned ones included
+@given(st.text(st.characters(blacklist_categories=())))
+@example("\u212a")  # the Kelvin sign lowercases to k
+@example("\u0130stanbul")  # lowercases to i, a combining dot, then stanbul
+@example("\uff11\uff12")  # full-width digits are not [0-9]
+@example("a b\x85c")  # NEL, a non-ASCII separator
+@example("x\ud800y")  # a lone surrogate
+@example("\u01c5")  # a title-case digraph
+def test_tokenize_equals_regex_findall(text):
+    assert tokenize(text) == re.findall(r"[a-z0-9]+", text.lower())
+
+
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=20))
+@example("a")
+@example("s")
+@example("ss")
+@example("ies")
+@example("sses")
+def test_stemmer_never_returns_empty(token):
+    # analyze marks a stopword with "" in its memo and filters it out, which
+    # is exact only because no token stems to ""
+    assert PorterStemmer().stem(token) != ""
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=20))

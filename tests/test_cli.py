@@ -67,6 +67,16 @@ class TestIndexCommand:
         assert result.exit_code != 0
         assert "nope.jsonl" in result.output
 
+    def test_deeply_nested_corpus_line(self, workspace):
+        corpus = workspace / "corpus.jsonl"
+        with open(corpus, "a") as fh:
+            fh.write('{"id": 5, "contents": "b", "x": ' + "[" * 5000 + "]" * 5000 + "}\n")
+        out = workspace / "i.gz"
+        result = invoke(["index", "--corpus", str(corpus), "--out", str(out)])
+        assert result.exit_code != 0
+        assert f"line {len(CORPUS_DOCS) + 1}: invalid JSON (nested too deeply)" in result.output
+        assert not out.exists()
+
     def test_missing_output_directory(self, workspace):
         result = invoke(["index", "--corpus", str(workspace / "corpus.jsonl"),
                          "--out", str(workspace / "missing_dir" / "i.gz")])

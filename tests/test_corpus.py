@@ -120,6 +120,40 @@ class TestJsonlMatchesReference:
             assert (corpus.doc_ids, corpus.texts) == expected
 
 
+def nested_line(doc_id, depth):
+    """A JSONL record whose extra field is a list nested ``depth`` deep."""
+    return f'{{"id": {doc_id}, "contents": "b", "x": {"[" * depth}{"]" * depth}}}'
+
+
+class TestDeeplyNestedLine:
+    # A line with a non-string id is parsed again with json, whose decoder
+    # recurses once per level: 5000 levels are past Python's recursion limit.
+    def test_too_deep_for_json_is_a_format_error(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "d1", "contents": "a"}\n' + nested_line("5", 5000) + "\n")
+        with pytest.raises(CorpusFormatError) as info:
+            ingest_corpus(str(path), "jsonl")
+        assert str(info.value) == "line 2: invalid JSON (nested too deeply)"
+        with pytest.raises(ValueError) as reference:
+            reference_ingest_jsonl(str(path))
+        assert str(reference.value) == str(info.value)
+
+    def test_deep_line_with_string_fields_is_read(self, tmp_path):
+        # orjson alone decides such a line, and it has no depth limit
+        path = tmp_path / "c.jsonl"
+        path.write_text(nested_line('"d5"', 5000) + "\n")
+        corpus = ingest_corpus(str(path), "jsonl")
+        assert (corpus.doc_ids, corpus.texts) == (["d5"], ["b"])
+
+    @pytest.mark.parametrize("doc_id", ["5", '"d5"'])
+    def test_shallow_nesting_is_read(self, tmp_path, doc_id):
+        path = tmp_path / "c.jsonl"
+        path.write_text(nested_line(doc_id, 50) + "\n")
+        corpus = ingest_corpus(str(path), "jsonl")
+        assert (corpus.doc_ids, corpus.texts) == reference_ingest_jsonl(str(path))
+        assert corpus.texts == ["b"]
+
+
 class TestColumns:
     def test_documents_built_on_demand(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -1,9 +1,11 @@
 import pytest
 import requests
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from oracles import reference_echo_answer
 
 from iterqe.expansion import (
     MAX_OUTPUT_TOKENS,
+    MOCK_ECHO_TERMS,
     NO_THINK_PREFILL,
     REQUEST_TIMEOUT_S,
     ChatCompletionsBackend,
@@ -118,6 +120,26 @@ class TestMockBackend:
         responses = MockBackend().generate(inputs, BASE_MODEL)
         assert "grays" in responses[0].answer_text
         assert "bay" in responses[0].answer_text
+
+    # few distinct words, so that counts tie, plus stopwords, case, digits,
+    # punctuation and non-ASCII letters between them
+    ECHO_WORDS = st.sampled_from(["bay", "Bay", "tide", "grays", "x1", "the", "AND", "of",
+                                  "a", "harbor", "K", "é", "１２", "-", "ǅ"])
+    ECHO_PASSAGES = st.lists(
+        st.one_of(st.lists(ECHO_WORDS, max_size=12).map(" ".join), st.text(max_size=20)),
+        max_size=5)
+
+    @given(passages=ECHO_PASSAGES, seed=st.integers(0, 3),
+           query=st.sampled_from(["q", "grays bay"]))
+    @example(passages=["b a c", "c b a"], seed=0, query="q")  # every count tied; "a" a stopword
+    @example(passages=["the the the bay", "of of and tide"], seed=0, query="q")  # stopwords lead
+    @example(passages=["the of and"], seed=0, query="q")  # only stopwords: the query
+    @example(passages=[" ".join(f"w{i}" for i in range(20))], seed=1, query="q")  # ties cut at 8
+    @example(passages=["ab", "cd"], seed=2, query="q")  # a passage boundary splits tokens
+    def test_echo_matches_reference(self, passages, seed, query):
+        answer = MockBackend(seed=seed).generate(PromptInputs(query, tuple(passages)), BASE_MODEL)
+        expected = reference_echo_answer(query, passages, seed, MOCK_ECHO_TERMS)
+        assert [r.answer_text for r in answer] == [expected] * BASE_MODEL.num_samples
 
     def test_sample_count(self):
         backend = MockBackend(mode="fixed_text")

@@ -214,6 +214,26 @@ class TestPersistence:
         for query in ("columbia", "river boat", "jacket"):
             assert list(search_topk(loaded, query, 3)) == list(search_topk(index, query, 3))
 
+    def test_built_then_searched_equals_loaded(self, tmp_path):
+        # ids d0..d29 sort as d0, d1, d10, ..., so ties exercise doc_id_ranks
+        texts = [f"wax paper{i % 3} " + "river " * (i % 4) for i in range(30)]
+        index = build_index(make_corpus(texts), Bm25Params(k1=1.2, b=0.75))
+        path = tmp_path / "index.npz"
+        index.save(str(path))
+        # building and saving, all that `iterqe index` does, compute neither
+        assert not {"impacts", "doc_id_ranks"} & set(vars(index))
+        loaded = PostingIndex.load(str(path))
+        assert {"impacts", "doc_id_ranks"} <= set(vars(loaded))
+        for query in ("wax", "river paper1", "paper2 paper2 wax", "absent"):
+            got = search_topk(index, query, 7)
+            expected = search_topk(loaded, query, 7)
+            assert got.ordinals.tolist() == expected.ordinals.tolist()
+            assert got.scores.tobytes() == expected.scores.tobytes()
+        assert index.impacts.tobytes() == loaded.impacts.tobytes()
+        assert index.doc_id_ranks.tobytes() == loaded.doc_id_ranks.tobytes()
+        in_id_order = sorted(index.doc_ids)
+        assert index.doc_id_ranks.tolist() == [in_id_order.index(d) for d in index.doc_ids]
+
     def test_saved_arrays_are_narrowest_unsigned(self, tmp_path):
         texts = [f"river basin{i} " + "wax " * (i % 300) for i in range(300)]
         index = build_index(make_corpus(texts))
