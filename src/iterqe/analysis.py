@@ -22,8 +22,8 @@ class PorterStemmer:
         word = self._step1a(word)
         word = self._step1b(word)
         word = self._step1c(word)
-        word = self._step2(word)
-        word = self._step3(word)
+        word = self._apply_rules(word, self._STEP2_RULES)
+        word = self._apply_rules(word, self._STEP3_RULES)
         word = self._step4(word)
         word = self._step5a(word)
         word = self._step5b(word)
@@ -70,15 +70,6 @@ class PorterStemmer:
         )
 
     # -- steps ------------------------------------------------------------
-
-    def _replace(self, word: str, suffix: str, repl: str, m_min: int) -> str | None:
-        """Apply suffix rule if the remaining stem has measure > m_min."""
-        if not word.endswith(suffix):
-            return None
-        stem = word[: len(word) - len(suffix)]
-        if self._measure(stem) > m_min:
-            return stem + repl
-        return word
 
     def _step1a(self, word: str) -> str:
         if word.endswith("sses"):
@@ -134,18 +125,13 @@ class PorterStemmer:
         "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
     ]
 
-    def _step2(self, word: str) -> str:
-        for suffix, repl in self._STEP2_RULES:
+    def _apply_rules(self, word: str, rules) -> str:
+        """Steps 2 and 3: the first rule whose suffix ends the word decides;
+        it replaces the suffix when the remaining stem has measure > 0."""
+        for suffix, repl in rules:
             if word.endswith(suffix):
-                out = self._replace(word, suffix, repl, 0)
-                return out if out is not None else word
-        return word
-
-    def _step3(self, word: str) -> str:
-        for suffix, repl in self._STEP3_RULES:
-            if word.endswith(suffix):
-                out = self._replace(word, suffix, repl, 0)
-                return out if out is not None else word
+                stem = word[: len(word) - len(suffix)]
+                return stem + repl if self._measure(stem) > 0 else word
         return word
 
     def _step4(self, word: str) -> str:

@@ -13,7 +13,7 @@ import click
 
 from . import expansion
 from .corpus import CorpusFormatError, ingest_corpus
-from .evaluate import Qrels, RunFile, TrecFormatError, evaluate_run
+from .evaluate import Qrels, RunFile, TrecFormatError, evaluate_run, run_lines
 from .expansion import ChatCompletionsBackend, GenerationParams, MockBackend
 from .index import Bm25Params, PostingIndex, build_index
 from .pipeline import PipelineConfig, run_pipeline
@@ -42,6 +42,7 @@ def _resolve(flag_value, config: dict, key: str, default):
 
 
 def _read_queries(path: str) -> list[tuple[str, str]]:
+    """``(qid, text)`` pairs sorted by qid, the order in which queries run and are written."""
     queries = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -55,7 +56,7 @@ def _read_queries(path: str) -> list[tuple[str, str]]:
             if parts[0] in queries:
                 raise click.ClickException(f"{path}:{line_no}: duplicate query id {parts[0]!r}")
             queries[parts[0]] = parts[1]
-    return list(queries.items())
+    return sorted(queries.items())
 
 
 def _prompt_template_hash() -> str:
@@ -189,16 +190,26 @@ def _load_inputs(corpus_path, fmt, index_path, queries_path):
         index = PostingIndex.load(index_path)
     except (CorpusFormatError, ValueError, OSError) as exc:
         raise click.ClickException(str(exc))
-    return corpus, index, _read_queries(queries_path)
+    # the corpus must hold every passage the index names; the same order lets them share ordinals
+    if corpus.doc_ids != index.doc_ids:
+        raise click.ClickException(
+            f"{corpus_path} is not the corpus {index_path} was built from (their passage "
+            "ids differ or are in another order); rebuild the index with `iterqe index`"
+        )
+    try:
+        queries = _read_queries(queries_path)
+    except UnicodeDecodeError as exc:
+        raise click.ClickException(f"{queries_path}: not UTF-8 text: {exc}")
+    return corpus, index, queries
 
 
 def _execute_batch(corpus, index, queries, cfg, pipe_cfg, gen_params, backend,
                    out_dir, run_name, workers):
     """Run the pipeline over all queries and write run/trace/metadata files.
 
-    Queries run in qid order (a stable sort), and each query's trace lines
-    and run entries are written as soon as its result arrives, so the batch
-    holds no finished query's rankings.
+    Queries run in the given order, qid order from ``_read_queries``. Each
+    query's run and trace lines are written as soon as its result arrives,
+    so a failed query leaves the queries before it in both files.
     """
     os.makedirs(out_dir, exist_ok=True)
 
@@ -206,24 +217,22 @@ def _execute_batch(corpus, index, queries, cfg, pipe_cfg, gen_params, backend,
         qid, text = item
         return run_pipeline(text, corpus, index, backend, pipe_cfg, gen_params)
 
-    ordered = sorted(queries, key=lambda q: q[0])
-    run = RunFile(tag=run_name)
+    run_path = os.path.join(out_dir, f"{run_name}.run.txt")
     trace_path = os.path.join(out_dir, f"{run_name}.trace.jsonl")
-    with open(trace_path, "w", encoding="utf-8") as tf:
+    with open(run_path, "w", encoding="utf-8") as rf, \
+            open(trace_path, "w", encoding="utf-8") as tf:
 
         def write(results):
-            for (qid, _), (final, trace) in zip(ordered, results):
-                run.add_ranking(qid, final.doc_ids(), final.scores.tolist())
+            for (qid, _), (final, trace) in zip(queries, results):
+                rf.write(run_lines(qid, final.doc_ids(), final.scores.tolist(), run_name))
                 for record in trace:
                     tf.write(record.trace_line(qid) + "\n")
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                write(pool.map(one, ordered))
+                write(pool.map(one, queries))
         else:
-            write(map(one, ordered))
-    run_path = os.path.join(out_dir, f"{run_name}.run.txt")
-    run.write(run_path)
+            write(map(one, queries))
 
     metadata = {
         "run_name": run_name,
@@ -311,7 +320,14 @@ def cmd_ablate(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
         cfg = {**base_cfg, **ABLATION_CELLS[cell]}
         cell_runs.append((cell, cfg, *_build_run(cfg)))
     corpus, index, queries = _load_inputs(corpus_path, fmt, index_path, queries_path)
-    qrels = Qrels.read(qrels_path) if qrels_path else None
+    qrels = None
+    if qrels_path:
+        try:
+            qrels = Qrels.read(qrels_path)
+        except TrecFormatError as exc:
+            raise click.ClickException(str(exc))
+        if not set(qrels.judgments).intersection(qid for qid, _ in queries):
+            raise click.ClickException(f"{qrels_path} shares no query id with {queries_path}")
 
     summary = []
     for cell, cfg, pipe_cfg, gen_params, backend in cell_runs:

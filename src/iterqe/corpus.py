@@ -113,8 +113,11 @@ def ingest_corpus(path: str, fmt: str = "jsonl") -> Corpus:
     corpus = Corpus()
     append = corpus._append
     with open(path, encoding="utf-8") as fh:
-        for line_no, doc_id, text in (_jsonl_rows if fmt == "jsonl" else _tsv_rows)(fh):
-            append(doc_id, text, line_no)
+        try:
+            for line_no, doc_id, text in (_jsonl_rows if fmt == "jsonl" else _tsv_rows)(fh):
+                append(doc_id, text, line_no)
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{path}: not UTF-8 text: {exc}") from None
     return corpus
 
 

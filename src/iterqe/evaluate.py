@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 
@@ -17,6 +18,25 @@ class TrecFormatError(ValueError):
     """Raised when a run or qrels file cannot be parsed."""
 
 
+def run_lines(query_id: str, doc_ids, scores, tag: str) -> str:
+    """One query's run lines, ranked 1, 2, ... in the order of ``doc_ids``.
+
+    One % operation a query: no Python code runs per line.
+    """
+    return (RUN_LINE * len(doc_ids)) % tuple(chain.from_iterable(zip(
+        repeat(query_id), doc_ids, count(1), scores, repeat(tag))))
+
+
+@contextmanager
+def _utf8_text(path: str):
+    """The file opened as UTF-8 text; a decode error while it is read names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise TrecFormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 @dataclass
 class Qrels:
     """Graded relevance judgments keyed by (query_id, doc_id)."""
@@ -29,7 +49,7 @@ class Qrels:
     @classmethod
     def read(cls, path: str) -> "Qrels":
         qrels = cls()
-        with open(path, encoding="utf-8") as fh:
+        with _utf8_text(path) as fh:
             for line_no, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -60,29 +80,18 @@ class RunFile:
             raise ValueError(f"duplicate doc {doc_id!r} for query {query_id!r}")
         ranking[doc_id] = score
 
-    def add_ranking(self, query_id: str, doc_ids: list[str], scores: list[float]) -> None:
-        """Add a whole ranking, best first, after any docs the query already has."""
-        ranking = self.rankings.setdefault(query_id, {})
-        size = len(ranking)
-        ranking.update(zip(doc_ids, scores))
-        if len(ranking) != size + len(doc_ids):
-            raise ValueError(f"duplicate doc in the ranking for query {query_id!r}")
-
     def doc_ids(self, query_id: str) -> list[str]:
         return list(self.rankings.get(query_id, ()))
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for qid in sorted(self.rankings):
-                # one % operation a query: no Python code runs per line
-                ranking = self.rankings[qid]
-                fh.write((RUN_LINE * len(ranking)) % tuple(chain.from_iterable(zip(
-                    repeat(qid), ranking, count(1), ranking.values(), repeat(self.tag)))))
+            for qid, ranking in sorted(self.rankings.items()):
+                fh.write(run_lines(qid, ranking, ranking.values(), self.tag))
 
     @classmethod
     def read(cls, path: str) -> "RunFile":
         run = cls()
-        with open(path, encoding="utf-8") as fh:
+        with _utf8_text(path) as fh:
             for line_no, line in enumerate(fh, 1):
                 if not line.strip():
                     continue

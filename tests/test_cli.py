@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from iterqe.cli import main
+from iterqe.expansion import GenerationError, MockBackend
 
 CORPUS_DOCS = [
     {"id": "f1", "contents": "zork flim margle brint voyage"},
@@ -20,15 +21,28 @@ CORPUS_DOCS = [
 
 @pytest.fixture
 def workspace(tmp_path):
-    corpus = tmp_path / "corpus.jsonl"
-    with open(corpus, "w") as fh:
-        for doc in CORPUS_DOCS:
-            fh.write(json.dumps(doc) + "\n")
+    write_corpus(tmp_path / "corpus.jsonl", CORPUS_DOCS)
     queries = tmp_path / "queries.tsv"
     queries.write_text("q1\tzork flim\nq2\tbrint coast\n")
     qrels = tmp_path / "qrels.txt"
     qrels.write_text("q1 0 target 2\nq1 0 f1 1\nq2 0 f4 2\n")
     return tmp_path
+
+
+def write_corpus(path, docs):
+    with open(path, "w") as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc) + "\n")
+
+
+def not_the_indexed_corpus(workspace, change):
+    """Rewrite the corpus with one passage dropped or two passages swapped."""
+    docs = list(CORPUS_DOCS)
+    if change == "dropped":
+        del docs[2]
+    else:
+        docs[0], docs[1] = docs[1], docs[0]
+    write_corpus(workspace / "corpus.jsonl", docs)
 
 
 def invoke(args):
@@ -75,6 +89,16 @@ class TestIndexCommand:
         result = invoke(["index", "--corpus", str(corpus), "--out", str(out)])
         assert result.exit_code != 0
         assert f"line {len(CORPUS_DOCS) + 1}: invalid JSON (nested too deeply)" in result.output
+        assert not out.exists()
+
+    def test_corpus_not_utf8(self, workspace):
+        corpus = workspace / "corpus.jsonl"
+        with open(corpus, "ab") as fh:
+            fh.write(b'{"id": "z", "contents": "abc \xff def"}\n')
+        out = workspace / "i.gz"
+        result = invoke(["index", "--corpus", str(corpus), "--out", str(out)])
+        assert result.exit_code != 0
+        assert f"{corpus}: not UTF-8 text" in result.output
         assert not out.exists()
 
     def test_missing_output_directory(self, workspace):
@@ -218,6 +242,26 @@ class TestRunCommand:
         assert "queries.tsv:2: empty query text" in result.output
         assert not out.exists()
 
+    def test_queries_not_utf8(self, workspace):
+        idx = build_index_file(workspace)
+        (workspace / "queries.tsv").write_bytes(b"q1\tabc \xff def\n")
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out))
+        assert result.exit_code != 0
+        assert "queries.tsv: not UTF-8 text" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", ["dropped", "swapped"])
+    def test_corpus_not_the_indexed_one_rejected(self, workspace, change):
+        idx = build_index_file(workspace)
+        not_the_indexed_corpus(workspace, change)
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out))
+        assert result.exit_code != 0
+        assert "corpus.jsonl is not the corpus" in result.output
+        assert "iterqe index" in result.output
+        assert not out.exists()
+
     def test_index_that_is_not_gzip(self, workspace):
         out = workspace / "out_bad"
         result = invoke(run_args(workspace, workspace / "corpus.jsonl", out))
@@ -278,6 +322,14 @@ class TestEvalCommand:
                          "--qrels", str(workspace / "qrels.txt")])
         assert result.exit_code != 0
         assert ":1:" in result.output
+
+    def test_run_not_utf8(self, workspace):
+        run = workspace / "bad.run"
+        run.write_bytes(b"q1 Q0 target 1 3.0 t\xff\n")
+        result = invoke(["eval", "--run", str(run),
+                         "--qrels", str(workspace / "qrels.txt")])
+        assert result.exit_code != 0
+        assert "bad.run: not UTF-8 text" in result.output
 
     def test_json_output(self, workspace):
         run = workspace / "r.run"
@@ -391,6 +443,38 @@ class TestAblateCommand:
         assert "is a file" in result.output
         assert out.read_bytes() == before
         assert not (workspace / "ablate_full.run.txt").exists()
+
+    @pytest.mark.parametrize("change", ["dropped", "swapped"])
+    def test_corpus_not_the_indexed_one_rejected(self, workspace, change):
+        idx = build_index_file(workspace)
+        not_the_indexed_corpus(workspace, change)
+        out = workspace / "ablate_bad"
+        result = invoke(["ablate",
+                         "--corpus", str(workspace / "corpus.jsonl"),
+                         "--index", str(idx),
+                         "--queries", str(workspace / "queries.tsv"),
+                         "--out-dir", str(out)])
+        assert result.exit_code != 0
+        assert "corpus.jsonl is not the corpus" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("qrels,message", [
+        ("q1 0 d1 x\n", "qrels.txt:1: grade 'x' is not an integer"),
+        ("q9 0 f1 1\n", "qrels.txt shares no query id with"),
+    ])
+    def test_bad_qrels_rejected_before_writing(self, workspace, qrels, message):
+        idx = build_index_file(workspace)
+        (workspace / "qrels.txt").write_text(qrels)
+        out = workspace / "ablate_bad"
+        result = invoke(["ablate",
+                         "--corpus", str(workspace / "corpus.jsonl"),
+                         "--index", str(idx),
+                         "--queries", str(workspace / "queries.tsv"),
+                         "--qrels", str(workspace / "qrels.txt"),
+                         "--out-dir", str(out)])
+        assert result.exit_code != 0
+        assert message in result.output
+        assert not out.exists()
 
     def test_unknown_cell(self, workspace):
         idx = build_index_file(workspace)
@@ -509,3 +593,31 @@ def test_outputs_independent_of_query_order(workspace, workers):
     (workspace / "queries.tsv").write_text("q2\tbrint coast\nq1\tzork flim\n")
     command, expected = BYTE_IDENTITY_CASES["interaction-3x2"]
     assert output_digests(workspace, [*command, "--workers", workers]) == expected
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_query_keeps_the_queries_before_it(workspace, monkeypatch, workers):
+    # q2 fails; the run and trace files hold q1's lines as a full run writes them
+    idx = build_index_file(workspace)
+    extra = ["--rounds", "3", "--samples", "2", "--workers", workers]
+    result = invoke(run_args(workspace, idx, workspace / "full", extra))
+    assert result.exit_code == 0, result.output
+    generate = MockBackend.generate
+
+    def fail_on_q2(self, inputs, params):
+        if inputs.query == "brint coast":
+            raise GenerationError("endpoint down")
+        return generate(self, inputs, params)
+
+    monkeypatch.setattr(MockBackend, "generate", fail_on_q2)
+    out = workspace / "failed"
+    result = CliRunner().invoke(main, run_args(workspace, idx, out, extra))
+    assert result.exit_code != 0
+    assert isinstance(result.exception, GenerationError)
+    for name, qid_of in [("iterqe.run.txt", lambda line: line.split()[0]),
+                         ("iterqe.trace.jsonl", lambda line: json.loads(line)["query_id"])]:
+        full = (workspace / "full" / name).read_text().splitlines(keepends=True)
+        q1_lines = [line for line in full if qid_of(line) == "q1"]
+        assert 0 < len(q1_lines) < len(full)
+        assert (out / name).read_text().splitlines(keepends=True) == q1_lines
+    assert not (out / "iterqe.metadata.json").exists()

@@ -14,6 +14,7 @@ from iterqe.evaluate import (
     evaluate_run,
     ndcg_at_k,
     recall_at_k,
+    run_lines,
 )
 
 
@@ -165,44 +166,27 @@ class TestFileIO:
         loaded = RunFile.read(str(path))
         assert loaded.doc_ids("q1") == ["d2", "d1"]
 
-    def test_add_ranking_equals_adds(self, tmp_path):
-        by_ranking, by_hit = RunFile(tag="t"), RunFile(tag="t")
-        by_ranking.add_ranking("q2", ["d3", "d1"], [2.5, 1.0])
-        by_ranking.add_ranking("q1", ["d2"], [0.5])
-        by_ranking.add_ranking("q1", [], [])
-        by_ranking.add_ranking("q1", ["d1"], [0.25])
-        for qid, doc_id, score in [("q2", "d3", 2.5), ("q2", "d1", 1.0), ("q1", "d2", 0.5),
-                                   ("q1", "d1", 0.25)]:
-            by_hit.add(qid, doc_id, score)
-        assert by_ranking.rankings == by_hit.rankings
-        by_ranking.write(str(tmp_path / "a.txt"))
-        by_hit.write(str(tmp_path / "b.txt"))
-        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
-
     def test_write_equals_per_line_format(self, tmp_path):
-        # braces and percent signs in every free field, and .6f rounding edges
-        run = RunFile(tag="t{0}%s{}")
-        run.add_ranking("q{}", ["d{0}", "%d", "}{", "caf\u00e9"], [1e17, 0.0000005, 1e-7, 0.0])
-        run.add_ranking("q%", ["a", "b", "c"], [0.0000015, 0.0000025, 2.5e-7])
-        run.add_ranking("q", [], [])
-        run.write(str(tmp_path / "run.txt"))
-        expected = "".join(
-            f"{qid} Q0 {docid} {rank} {score:.6f} {run.tag}\n"
-            for qid in sorted(run.rankings)
-            for rank, (docid, score) in enumerate(run.rankings[qid].items(), 1)
-        )
-        assert (tmp_path / "run.txt").read_text(encoding="utf-8") == expected
+        # braces and percent signs in every free field, .6f rounding edges and
+        # an empty ranking, through run_lines and through RunFile.write
+        tag = "t{0}%s{}"
+        rankings = {
+            "q{}": (["d{0}", "%d", "}{", "caf\u00e9"], [1e17, 0.0000005, 1e-7, 0.0]),
+            "q%": (["a", "b", "c"], [0.0000015, 0.0000025, 2.5e-7]),
+            "q": ([], []),
+        }
 
-    def test_add_ranking_duplicate_doc_rejected(self):
-        run = RunFile()
-        with pytest.raises(ValueError, match="duplicate"):
-            run.add_ranking("q1", ["d1", "d2", "d1"], [3.0, 2.0, 1.0])
-        run = RunFile()
-        run.add("q1", "d1", 3.0)
-        with pytest.raises(ValueError, match="duplicate"):
-            run.add_ranking("q1", ["d2", "d1"], [2.0, 1.0])
-        with pytest.raises(ValueError, match="duplicate"):
-            run.add("q1", "d1", 1.0)
+        def expected(qid):
+            doc_ids, scores = rankings[qid]
+            return "".join(f"{qid} Q0 {docid} {rank} {score:.6f} {tag}\n"
+                           for rank, (docid, score) in enumerate(zip(doc_ids, scores), 1))
+
+        for qid, (doc_ids, scores) in rankings.items():
+            assert run_lines(qid, doc_ids, scores, tag) == expected(qid)
+        run = RunFile(rankings={qid: dict(zip(*r)) for qid, r in rankings.items()}, tag=tag)
+        run.write(str(tmp_path / "run.txt"))
+        assert (tmp_path / "run.txt").read_text(encoding="utf-8") == \
+            "".join(map(expected, sorted(rankings)))
 
     def test_run_duplicate_doc_rejected(self, tmp_path):
         path = tmp_path / "run.txt"
