@@ -14,8 +14,10 @@ after ingest, build and load and at the end, and the median
 ``search_topk`` milliseconds (top 1000) for queries of 4, 50, 200 and
 1000 words drawn from the corpus.
 
-It is not a test, and Tier-1 does not run it: 200,000 passages need
-about half a gigabyte and a minute or more on two cores.
+At its default size it is not a test: 200,000 passages need about half
+a gigabyte and a minute or more on two cores. Tier-1 runs it with
+``--passages 2000`` (``tests/test_scale_probe.py``) to check that it
+still runs.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def probe(passages: int, seed: int, work_dir: str) -> dict:
     out["peak_rss_after_load_mb"] = peak_rss_mb()
 
     rng = random.Random(seed)
-    words = [w for doc, _ in zip(corpus, range(QUERY_SOURCE_DOCS)) for w in doc.text.split()]
+    words = [w for text in corpus.texts[:QUERY_SOURCE_DOCS] for w in text.split()]
     for length in QUERY_LENGTHS:
         query = " ".join(rng.choice(words) for _ in range(length))
         times = [timed(search_topk, index, query, 1000)[1] for _ in range(3)]

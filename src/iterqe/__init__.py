@@ -1,6 +1,6 @@
 """Iterative thinking-based query expansion over BM25 with TREC evaluation."""
 
-from .corpus import Corpus, Document, ingest_corpus, truncate_text
+from .corpus import Corpus, ingest_corpus, truncate_text
 from .evaluate import Qrels, RunFile, average_precision, evaluate_run, ndcg_at_k, recall_at_k
 from .expansion import (
     ChatCompletionsBackend,

@@ -32,13 +32,9 @@ def _load_config_file(path: str | None) -> dict:
     return config
 
 
-def _resolve(flag_value, config: dict, key: str, default):
-    """Flag wins over config file, config file over the built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+def _is_run_field(text: str) -> bool:
+    """Whether ``text`` is one field of a run file line: non-empty, no whitespace."""
+    return text.split() == [text]
 
 
 def _read_queries(path: str) -> list[tuple[str, str]]:
@@ -51,6 +47,9 @@ def _read_queries(path: str) -> list[tuple[str, str]]:
             parts = line.rstrip("\n").split("\t", 1)
             if len(parts) != 2:
                 raise click.ClickException(f"{path}:{line_no}: expected qid<TAB>text")
+            if not _is_run_field(parts[0]):
+                raise click.ClickException(f"{path}:{line_no}: query id {parts[0]!r} "
+                                           "is empty or contains whitespace")
             if not parts[1].strip():
                 raise click.ClickException(f"{path}:{line_no}: empty query text")
             if parts[0] in queries:
@@ -158,7 +157,14 @@ def _resolve_run_config(config_path, kwargs) -> dict:
             f"{config_path}: unknown config keys {', '.join(map(repr, unknown))}; "
             f"the keys are {', '.join(defaults)}"
         )
-    cfg = {key: _resolve(kwargs.get(key), file_cfg, key, default)
+    for key, value in file_cfg.items():
+        # a value has its default's type, save that an integer serves for a float
+        expected = type(defaults[key])
+        if type(value) is not expected and (expected, type(value)) != (float, int):
+            raise click.ClickException(f"{config_path}: config key {key!r} must be "
+                                       f"{expected.__name__}, not {json.dumps(value)}")
+    # a flag wins over the config file, the config file over the built-in default
+    cfg = {key: file_cfg.get(key, default) if kwargs.get(key) is None else kwargs[key]
            for key, default in defaults.items()}
     cfg["accumulation_enabled"] = not kwargs.get("no_accumulation") and cfg["accumulation_enabled"]
     cfg["filter_enabled"] = not kwargs.get("no_filter") and cfg["filter_enabled"]
@@ -196,6 +202,8 @@ def _load_inputs(corpus_path, fmt, index_path, queries_path):
             f"{corpus_path} is not the corpus {index_path} was built from (their passage "
             "ids differ or are in another order); rebuild the index with `iterqe index`"
         )
+    # equal lists: keep one, which run_pipeline requires
+    corpus.doc_ids = index.doc_ids
     try:
         queries = _read_queries(queries_path)
     except UnicodeDecodeError as exc:
@@ -255,6 +263,9 @@ def _execute_batch(corpus, index, queries, cfg, pipe_cfg, gen_params, backend,
 def cmd_run(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
             workers, run_name, **kwargs):
     """Execute the expansion pipeline over a query set and write a TREC run."""
+    if not _is_run_field(run_name):  # the tag field of every run line
+        raise click.BadParameter(f"{run_name!r} is empty or contains whitespace",
+                                 param_hint="--run-name")
     cfg = _resolve_run_config(config_path, kwargs)
     pipe_cfg, gen_params, backend = _build_run(cfg)
     corpus, index, queries = _load_inputs(corpus_path, fmt, index_path, queries_path)

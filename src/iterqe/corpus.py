@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import orjson
 
@@ -12,49 +11,23 @@ class CorpusFormatError(ValueError):
     """Raised when a corpus file cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class Document:
-    doc_id: str
-    text: str
-
-
 class Corpus:
-    """Immutable-after-ingestion document collection with id lookup.
+    """A document collection as two columns, ``doc_ids`` and ``texts``.
 
-    Passages are held as two columns, ``doc_ids`` and ``texts``, indexed by
-    ordinal, plus a map from id to ordinal. A ``Document`` is built only
-    when one is asked for: a pipeline reads a few passages a round, and a
-    Python object per passage would cost memory and ingest time.
+    A passage is addressed by its ordinal, its position in both lists. An
+    index built from the corpus numbers passages the same way, so the
+    ordinals of a ranking read the passages' texts directly.
     """
 
-    __slots__ = ("doc_ids", "texts", "_ordinals")
+    __slots__ = ("doc_ids", "texts")
 
-    def __init__(self):
-        self.doc_ids: list[str] = []
-        self.texts: list[str] = []
-        self._ordinals: dict[str, int] = {}
+    def __init__(self, doc_ids: list[str], texts: list[str]):
+        self.doc_ids = doc_ids
+        self.texts = texts
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
-
-    def get(self, doc_id: str) -> Document:
-        return Document(doc_id, self.texts[self._ordinals[doc_id]])
-
-    def __iter__(self):
-        return map(Document, self.doc_ids, self.texts)
-
-    def _add(self, doc: Document, line_no: int) -> None:
-        self._append(doc.doc_id, doc.text, line_no)
-
-    def _append(self, doc_id: str, text: str, line_no: int) -> None:
-        if not doc_id:
-            raise CorpusFormatError(f"line {line_no}: empty document id")
-        ordinal = len(self.doc_ids)
-        if self._ordinals.setdefault(doc_id, ordinal) != ordinal:
-            raise CorpusFormatError(f"line {line_no}: duplicate document id {doc_id!r}")
-        self.doc_ids.append(doc_id)
-        self.texts.append(text)
 
 
 def _jsonl_rows(lines):
@@ -110,15 +83,22 @@ def ingest_corpus(path: str, fmt: str = "jsonl") -> Corpus:
     """Load a corpus file; jsonl rows need "id"/"contents", tsv rows are id<TAB>text."""
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unknown corpus format {fmt!r}")
-    corpus = Corpus()
-    append = corpus._append
+    doc_ids: list[str] = []
+    texts: list[str] = []
+    seen: set[str] = set()  # dropped on return: no id map outlives ingestion
     with open(path, encoding="utf-8") as fh:
         try:
             for line_no, doc_id, text in (_jsonl_rows if fmt == "jsonl" else _tsv_rows)(fh):
-                append(doc_id, text, line_no)
+                if not doc_id:
+                    raise CorpusFormatError(f"line {line_no}: empty document id")
+                if doc_id in seen:
+                    raise CorpusFormatError(f"line {line_no}: duplicate document id {doc_id!r}")
+                seen.add(doc_id)
+                doc_ids.append(doc_id)
+                texts.append(text)
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    return corpus
+    return Corpus(doc_ids, texts)
 
 
 def truncate_text(text: str, max_tokens: int) -> str:

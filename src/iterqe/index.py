@@ -60,8 +60,8 @@ class Ranking:
 
     It names its documents through the index's ``doc_ids`` list, which it
     shares, not copies. Iterating it builds ``ScoredHit``s on demand;
-    callers that only need the ids or the scores read ``doc_ids()`` and
-    ``scores``.
+    callers that only need the ordinals, the ids or the scores read
+    ``ordinals``, ``doc_ids()`` and ``scores``.
     """
 
     __slots__ = ("ordinals", "scores", "_names", "_ids")
@@ -72,17 +72,17 @@ class Ranking:
         self._names = names
         self._ids: list[str] | None = None
 
-    def doc_ids(self, n: int | None = None) -> list[str]:
-        """The ranked doc ids, or the first ``n`` of them.
+    def doc_ids(self) -> list[str]:
+        """The ranked doc ids.
 
-        The full list is built on the first call and returned by later ones
-        (a round reads it to filter feedback and again to write the trace),
+        The list is built on the first call and returned by later ones (the
+        final ranking is read for the run lines and again for the trace),
         so callers must not change it.
         """
         if self._ids is None:
             names = self._names
             self._ids = [names[o] for o in self.ordinals.tolist()]
-        return self._ids if n is None else self._ids[:n]
+        return self._ids
 
     def __len__(self) -> int:
         return len(self.ordinals)
@@ -284,7 +284,8 @@ def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingInde
         doc_ordinals=sorted_ordinals,
         tfs=sorted_tfs,
         doc_lengths=np.frombuffer(doc_lengths, dtype=np.int32).copy(),
-        doc_ids=list(corpus.doc_ids),
+        # shared, not copied: index and corpus hold one id list
+        doc_ids=corpus.doc_ids,
         params=params,
     )
 

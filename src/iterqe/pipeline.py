@@ -51,8 +51,9 @@ class PipelineConfig:
 class QueryState:
     q0: str
     expansions: list[str] = field(default_factory=list)
-    blacklist: set[str] = field(default_factory=set)
-    prev_feedback: list[str] = field(default_factory=list)
+    # index ordinals, as in prev_feedback
+    blacklist: set[int] = field(default_factory=set)
+    prev_feedback: list[int] = field(default_factory=list)
     round: int = 0
 
 
@@ -138,14 +139,14 @@ def render_query(state: QueryState, lambda_: float) -> str:
 
 
 def filter_feedback(
-    ranked: list[str],
-    blacklist: set[str],
-    prev_feedback: list[str],
+    ranked: list[int],
+    blacklist: set[int],
+    prev_feedback: list[int],
     k: int,
-) -> tuple[list[str], set[str]]:
-    """Drop blacklisted and previous-round docs from the ranked doc ids.
+) -> tuple[list[int], set[int]]:
+    """Drop blacklisted and previous-round docs from the ranked doc ordinals.
 
-    The first k left are the feedback; every excluded id that was retrieved
+    The first k left are the feedback; every excluded doc that was retrieved
     joins the blacklist.
     """
     excluded = blacklist | set(prev_feedback)
@@ -165,17 +166,18 @@ def run_round(
     gen_params = gen_params or GenerationParams()
     rendered = render_query(state, config.lambda_)
     retrieved = search_topk(index, rendered, config.retrieval_depth)
+    ranked = retrieved.ordinals.tolist()
     if config.filter_enabled:
         feedback, new_blacklist = filter_feedback(
-            retrieved.doc_ids(), state.blacklist, state.prev_feedback, config.top_k_feedback
+            ranked, state.blacklist, state.prev_feedback, config.top_k_feedback
         )
     else:
-        feedback = retrieved.doc_ids(config.top_k_feedback)
+        feedback = ranked[:config.top_k_feedback]
         new_blacklist = set(state.blacklist)
     if not feedback:
         log.warning("round %d: no feedback documents survived filtering", state.round)
     passages = tuple(
-        truncate_text(corpus.get(d).text, config.prompt_doc_truncation) for d in feedback
+        truncate_text(corpus.texts[o], config.prompt_doc_truncation) for o in feedback
     )
     # the generator always sees the original query, never the rendered one
     inputs = PromptInputs(query=state.q0, passages=passages)
@@ -197,7 +199,7 @@ def run_round(
     record = RoundRecord(
         round=state.round,
         retrieved=retrieved,
-        feedback_docs=feedback,
+        feedback_docs=[index.doc_ids[o] for o in feedback],
         rendered_query=rendered,
         expansion_segment=segment,
         thinking_traces=[r.thinking_trace for r in responses],
@@ -214,6 +216,10 @@ def run_pipeline(
     gen_params: GenerationParams | None = None,
 ) -> tuple[Ranking, list[RoundRecord]]:
     """Full expansion run for one query; returns final ranking and per-round trace."""
+    # one shared id list, as build_index(corpus) leaves it, proves that the
+    # ordinals of a ranking address the corpus's texts
+    if corpus.doc_ids is not index.doc_ids:
+        raise ValueError("the corpus and the index must share one doc_ids list")
     if not q0.strip():
         raise ValueError("query must be non-empty")
     state = QueryState(q0=q0)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import brute_force_ranking, reference_eval
 
 from iterqe.cli import main as cli_main
-from iterqe.corpus import Corpus, Document
+from iterqe.corpus import Corpus
 from iterqe.evaluate import Qrels, RunFile, evaluate_run
 from iterqe.expansion import MockBackend
 from iterqe.index import build_index, search_topk
@@ -30,11 +30,7 @@ from iterqe.pipeline import (
 
 
 def make_corpus(texts, ids=None):
-    corpus = Corpus()
-    for i, text in enumerate(texts):
-        doc_id = ids[i] if ids else f"d{i}"
-        corpus._add(Document(doc_id, text), i + 1)
-    return corpus
+    return Corpus(list(ids) if ids else [f"d{i}" for i in range(len(texts))], list(texts))
 
 
 # 30 documents: five feedback docs matching the query and carrying bridge

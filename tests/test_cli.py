@@ -251,6 +251,66 @@ class TestRunCommand:
         assert "queries.tsv: not UTF-8 text" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"rounds": 2.5}, "'rounds' must be int, not 2.5"),
+        ({"top_k": True}, "'top_k' must be int, not true"),
+        ({"top_k": 1.5}, "'top_k' must be int, not 1.5"),
+        ({"lambda_": "3"}, "'lambda_' must be float, not \"3\""),
+        ({"filter_enabled": 0}, "'filter_enabled' must be bool, not 0"),
+        ({"mode": None}, "'mode' must be str, not null"),
+    ])
+    def test_config_value_of_the_wrong_type_rejected(self, workspace, config, message):
+        idx = build_index_file(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out, ["--config", str(cfg)]))
+        assert result.exit_code != 0
+        assert f"cfg.json: config key {message}" in result.output
+        assert not out.exists()
+
+    def test_integer_config_value_accepted_for_a_float(self, workspace):
+        idx = build_index_file(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_": 3, "temperature": 1, "rounds": 1}))
+        out = workspace / "out_cfg"
+        result = invoke(run_args(workspace, idx, out, ["--config", str(cfg)]))
+        assert result.exit_code == 0, result.output
+        meta = json.loads((out / "iterqe.metadata.json").read_text())
+        assert meta["config"]["pipeline"]["lambda_"] == 3
+
+    @pytest.mark.parametrize("qid", ["q 1", "", " q1", "q1\x0b", "q\u20031"])
+    def test_query_id_that_breaks_the_run_file_rejected(self, workspace, qid):
+        idx = build_index_file(workspace)
+        (workspace / "queries.tsv").write_text(f"q0\tzork\n{qid}\tzork flim\n")
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out))
+        assert result.exit_code != 0
+        assert f"queries.tsv:2: query id {qid!r} is empty or contains whitespace" \
+            in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["my run", "", "run\t2"])
+    def test_run_name_that_breaks_the_run_file_rejected(self, workspace, name):
+        idx = build_index_file(workspace)
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out, ["--run-name", name]))
+        assert result.exit_code != 0
+        assert "--run-name" in result.output
+        assert "is empty or contains whitespace" in result.output
+        assert not out.exists()
+
+    def test_run_file_of_odd_but_valid_names_reads_back(self, workspace):
+        idx = build_index_file(workspace)
+        (workspace / "queries.tsv").write_text("q-1é\tzork flim\n")
+        out = workspace / "out"
+        result = invoke(run_args(workspace, idx, out, ["--run-name", "run.2"]))
+        assert result.exit_code == 0, result.output
+        qrels = workspace / "qrels.txt"
+        qrels.write_text("q-1é 0 target 2\n")
+        result = invoke(["eval", "--run", str(out / "run.2.run.txt"), "--qrels", str(qrels)])
+        assert result.exit_code == 0, result.output
+
     @pytest.mark.parametrize("change", ["dropped", "swapped"])
     def test_corpus_not_the_indexed_one_rejected(self, workspace, change):
         idx = build_index_file(workspace)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from oracles import reference_ingest_jsonl
 
-from iterqe.corpus import Corpus, CorpusFormatError, Document, ingest_corpus, truncate_text
+from iterqe.corpus import Corpus, CorpusFormatError, ingest_corpus, truncate_text
 from iterqe.index import build_index
 
 
@@ -21,8 +21,8 @@ class TestIngest:
         write_jsonl(path, [{"id": "d1", "contents": "alpha"}, {"id": "d2", "contents": "beta"}])
         corpus = ingest_corpus(str(path), "jsonl")
         assert corpus.doc_count == 2
-        assert corpus.get("d1").text == "alpha"
-        assert [d.doc_id for d in corpus] == ["d1", "d2"]
+        assert corpus.doc_ids == ["d1", "d2"]
+        assert corpus.texts == ["alpha", "beta"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -56,7 +56,7 @@ class TestIngest:
         path.write_text("d1\talpha beta\nd2\tgamma\n")
         corpus = ingest_corpus(str(path), "tsv")
         assert corpus.doc_count == 2
-        assert corpus.get("d2").text == "gamma"
+        assert corpus.texts[1] == "gamma"
 
     def test_tsv_bad_row(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -68,12 +68,12 @@ class TestIngest:
         text = 'weird  spacing\tand "quotes" é'
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"id": "x", "contents": text}])
-        assert ingest_corpus(str(path), "jsonl").get("x").text == text
+        assert ingest_corpus(str(path), "jsonl").texts == [text]
 
     def test_empty_text_is_valid(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"id": "x", "contents": ""}])
-        assert ingest_corpus(str(path), "jsonl").get("x").text == ""
+        assert ingest_corpus(str(path), "jsonl").texts == [""]
 
 
 # JSON values on which orjson and json disagree or that are not strings:
@@ -154,40 +154,37 @@ class TestDeeplyNestedLine:
         assert corpus.texts == ["b"]
 
 
-class TestColumns:
-    def test_documents_built_on_demand(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        write_jsonl(path, [{"id": "d1", "contents": "alpha"}, {"id": "d2", "contents": "beta"}])
-        corpus = ingest_corpus(str(path), "jsonl")
-        assert corpus.doc_ids == ["d1", "d2"]
-        assert corpus.texts == ["alpha", "beta"]
-        assert list(corpus) == [Document("d1", "alpha"), Document("d2", "beta")]
-        assert corpus.get("d2") == Document("d2", "beta")
-        with pytest.raises(KeyError):
-            corpus.get("d3")
+# a blank line before the offender, so that its line number is not its ordinal + 1
+BAD_ID_FILES = [
+    ("jsonl", ['{"id": "d1", "contents": "a"}', "", '{"id": "d1", "contents": "b"}'],
+     "line 3: duplicate document id 'd1'"),
+    ("jsonl", ['{"id": "d1", "contents": "a"}', "", '{"id": "", "contents": "c"}'],
+     "line 3: empty document id"),
+    ("tsv", ["d1\ta", "", "d1\tb"], "line 3: duplicate document id 'd1'"),
+    ("tsv", ["d1\ta", "  ", "\tc"], "line 3: empty document id"),
+]
 
-    def test_hand_built_corpus_rejects_empty_and_duplicate_ids(self):
-        corpus = Corpus()
-        corpus._add(Document("d1", "a"), 1)
-        with pytest.raises(CorpusFormatError, match="line 2: duplicate document id 'd1'"):
-            corpus._add(Document("d1", "b"), 2)
-        with pytest.raises(CorpusFormatError, match="line 3: empty document id"):
-            corpus._add(Document("", "c"), 3)
-        assert corpus.doc_ids == ["d1"] and corpus.texts == ["a"]
+
+class TestColumns:
+    def test_ingest_rejects_empty_and_duplicate_ids_by_line(self, tmp_path):
+        for fmt, lines, message in BAD_ID_FILES:
+            path = tmp_path / f"c.{fmt}"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            with pytest.raises(CorpusFormatError) as info:
+                ingest_corpus(str(path), fmt)
+            assert str(info.value) == message
 
     def test_index_equals_one_built_from_documents(self, tmp_path):
         rng = np.random.default_rng(7)
         words = ["alpha", "beta", "gamma", "delta", "the", "of", "river", "boat"]
-        docs = [Document(f"p{i}", " ".join(rng.choice(words, size=rng.integers(0, 9))))
-                for i in range(2500)]
+        doc_ids = [f"p{i}" for i in range(2500)]
+        texts = [" ".join(rng.choice(words, size=rng.integers(0, 9))) for _ in doc_ids]
         path = tmp_path / "c.jsonl"
-        write_jsonl(path, [{"id": d.doc_id, "contents": d.text} for d in docs])
-        by_hand = Corpus()
-        for line_no, doc in enumerate(docs, 1):
-            by_hand._add(doc, line_no)
+        write_jsonl(path, [{"id": d, "contents": t} for d, t in zip(doc_ids, texts)])
+        by_hand = Corpus(list(doc_ids), texts)
         got, expected = build_index(ingest_corpus(str(path))), build_index(by_hand)
         assert got.terms == expected.terms
-        assert got.doc_ids == expected.doc_ids == [d.doc_id for d in docs]
+        assert got.doc_ids == expected.doc_ids == doc_ids
         for name in ("offsets", "doc_ordinals", "tfs", "doc_lengths", "impacts"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 

@@ -9,15 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import assert_same_ranking, brute_force_ranking, reference_postings
 
 from iterqe import index as index_module
-from iterqe.corpus import Corpus, Document
+from iterqe.corpus import Corpus
 from iterqe.index import Bm25Params, PostingIndex, build_index, search_topk
 
 
 def make_corpus(texts):
-    corpus = Corpus()
-    for i, text in enumerate(texts):
-        corpus._add(Document(f"d{i}", text), i + 1)
-    return corpus
+    return Corpus([f"d{i}" for i in range(len(texts))], list(texts))
 
 
 def postings_of(index, term):
@@ -309,10 +306,7 @@ class TestPersistence:
     def test_roundtrip_exact_path_strings_and_params(self, tmp_path):
         doc_ids = ["line\nbreak", "caf\u00e9 \u2603", "nul\x00", "plain"]
         texts = ["columbia river basin", "river boat", "columbia jacket", "river river"]
-        corpus = Corpus()
-        for i, (doc_id, text) in enumerate(zip(doc_ids, texts)):
-            corpus._add(Document(doc_id, text), i + 1)
-        index = build_index(corpus, Bm25Params(k1=1.2, b=0.75))
+        index = build_index(Corpus(list(doc_ids), texts), Bm25Params(k1=1.2, b=0.75))
         path = tmp_path / "index.gz"
         index.save(str(path))
         assert sorted(os.listdir(tmp_path)) == ["index.gz"]

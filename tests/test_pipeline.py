@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iterqe.corpus import Corpus, Document
+from iterqe.corpus import Corpus
 from iterqe.expansion import GenerationParams, MockBackend
 from iterqe.index import Ranking, build_index, search_topk
 from iterqe.pipeline import (
@@ -23,10 +23,7 @@ from iterqe.pipeline import (
 
 
 def make_corpus(texts, prefix="d"):
-    corpus = Corpus()
-    for i, text in enumerate(texts):
-        corpus._add(Document(f"{prefix}{i}", text), i + 1)
-    return corpus
+    return Corpus([f"{prefix}{i}" for i in range(len(texts))], list(texts))
 
 
 class TestRepetitionCount:
@@ -147,10 +144,10 @@ class TestRunRound:
         corpus, index = feedback_setup()
         backend = MockBackend()
         config = PipelineConfig(filter_enabled=False)
-        state = QueryState("zork flim", blacklist={"d0", "d1"})
+        state = QueryState("zork flim", blacklist={0, 1})
         new_state, record = run_round(state, corpus, index, backend, config)
-        assert record.feedback_docs == record.retrieved.doc_ids(5)
-        assert new_state.blacklist == {"d0", "d1"}
+        assert record.feedback_docs == record.retrieved.doc_ids()[:5]
+        assert new_state.blacklist == {0, 1}
 
     def test_accumulation_disabled_keeps_latest(self):
         corpus, index = feedback_setup()
@@ -229,6 +226,13 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline("  ", corpus, index, MockBackend(), PipelineConfig())
 
+    def test_corpus_not_paired_with_its_index_rejected(self):
+        corpus, index = feedback_setup()
+        # equal ids are not enough: only one shared list proves the ordinals agree
+        for other in (make_corpus(FEEDBACK_CORPUS), Corpus(list(corpus.doc_ids), corpus.texts)):
+            with pytest.raises(ValueError, match="share one doc_ids list"):
+                run_pipeline("zork flim", other, index, MockBackend(), PipelineConfig())
+
 
 class TestLoopInvariants:
     def test_randomized_invariant_suite(self):
@@ -251,8 +255,11 @@ class TestLoopInvariants:
             for _ in range(config.rounds):
                 before = state
                 state, record = run_round(state, corpus, index, backend, config)
-                overlap = set(record.feedback_docs) & (before.blacklist | set(before.prev_feedback))
-                if overlap:
+                # the state holds ordinals, the record ids
+                excluded = {index.doc_ids[o] for o in before.blacklist | set(before.prev_feedback)}
+                if set(record.feedback_docs) & excluded:
+                    violations += 1
+                if record.feedback_docs != [index.doc_ids[o] for o in state.prev_feedback]:
                     violations += 1
                 if not state.blacklist >= before.blacklist:
                     violations += 1
@@ -267,7 +274,7 @@ class TestLoopInvariants:
         backend = MockBackend(seed=3)
         config = PipelineConfig(rounds=2, top_k_feedback=5, retrieval_depth=30)
         final_hits, _ = run_pipeline("zork flim", corpus, index, backend, config)
-        assert "d5" in final_hits.doc_ids(10)  # the bridge-term document
+        assert "d5" in final_hits.doc_ids()[:10]  # the bridge-term document
         from iterqe.index import search_topk
 
         plain = [h.doc_id for h in search_topk(index, "zork flim", 1000)]
@@ -315,9 +322,8 @@ class TestTraceLine:
                "emoji\U0001f600", "lone\ud800"]
 
     def test_trace_lines_equal_json_dumps(self):
-        corpus = Corpus()
-        for i, doc_id in enumerate(self.DOC_IDS):
-            corpus._add(Document(doc_id, f"zork flim margle{i} brint"), i + 1)
+        texts = [f"zork flim margle{i} brint" for i in range(len(self.DOC_IDS))]
+        corpus = Corpus(list(self.DOC_IDS), texts)
         index = build_index(corpus)
         config = PipelineConfig(rounds=2, top_k_feedback=3)
         _, trace = run_pipeline("zork flim", corpus, index, MockBackend(), config)
@@ -360,7 +366,7 @@ class TestRanking:
         assert len(ranking) == len(hits) == 6
         assert [h.rank for h in hits] == [1, 2, 3, 4, 5, 6]
         assert ranking.doc_ids() == [h.doc_id for h in hits]
-        assert ranking.doc_ids(2) == [h.doc_id for h in hits[:2]]
+        assert ranking.ordinals.tolist() == [index.doc_ids.index(h.doc_id) for h in hits]
         assert ranking.scores.tolist() == [h.score for h in hits]
         assert all(type(h.score) is float for h in hits)
 
@@ -371,8 +377,5 @@ class TestRanking:
     def test_doc_ids_built_once(self):
         corpus, index = feedback_setup()
         ranking = search_topk(index, "zork flim margle", 10)
-        first_two = ranking.doc_ids(2)
         ids = ranking.doc_ids()
         assert ranking.doc_ids() is ids
-        assert first_two == ids[:2]
-        assert ranking.doc_ids(0) == []
