@@ -13,7 +13,7 @@ import click
 
 from . import expansion
 from .corpus import CorpusFormatError, ingest_corpus
-from .evaluate import Qrels, RunFile, TrecFormatError, evaluate_run, run_lines
+from .evaluate import Qrels, RunFile, TrecFormatError, evaluate_run, is_run_field, run_lines
 from .expansion import ChatCompletionsBackend, GenerationParams, MockBackend
 from .index import Bm25Params, PostingIndex, build_index
 from .pipeline import PipelineConfig, run_pipeline
@@ -32,11 +32,6 @@ def _load_config_file(path: str | None) -> dict:
     return config
 
 
-def _is_run_field(text: str) -> bool:
-    """Whether ``text`` is one field of a run file line: non-empty, no whitespace."""
-    return text.split() == [text]
-
-
 def _read_queries(path: str) -> list[tuple[str, str]]:
     """``(qid, text)`` pairs sorted by qid, the order in which queries run and are written."""
     queries = {}
@@ -47,7 +42,7 @@ def _read_queries(path: str) -> list[tuple[str, str]]:
             parts = line.rstrip("\n").split("\t", 1)
             if len(parts) != 2:
                 raise click.ClickException(f"{path}:{line_no}: expected qid<TAB>text")
-            if not _is_run_field(parts[0]):
+            if not is_run_field(parts[0]):
                 raise click.ClickException(f"{path}:{line_no}: query id {parts[0]!r} "
                                            "is empty or contains whitespace")
             if not parts[1].strip():
@@ -174,20 +169,21 @@ def _resolve_run_config(config_path, kwargs) -> dict:
 
 
 def _build_run(cfg: dict):
-    """Pipeline config, generation parameters and backend; a bad value fails here."""
+    """Pipeline config and a backend holding the generation parameters; bad values fail here."""
     try:
         pipe_cfg = PipelineConfig(**{f: cfg[key] for key, f in PIPELINE_KEYS.items()})
-        gen_params = GenerationParams(**{f: cfg[key] for key, f in GENERATION_KEYS.items()})
+        params = GenerationParams(**{f: cfg[key] for key, f in GENERATION_KEYS.items()})
         if cfg["backend"] == "mock":
-            backend = MockBackend(**{f: cfg[key] for key, f in MOCK_KEYS.items()})
+            backend = MockBackend(**{f: cfg[key] for key, f in MOCK_KEYS.items()},
+                                  params=params)
         else:
             api_key = os.environ.get(cfg["key_env"], "") if cfg["key_env"] else ""
             backend = ChatCompletionsBackend(
-                base_url=cfg["base_url"], model=cfg["model"], api_key=api_key
+                base_url=cfg["base_url"], model=cfg["model"], api_key=api_key, params=params
             )
     except (TypeError, ValueError) as exc:
         raise click.ClickException(f"invalid run configuration: {exc}")
-    return pipe_cfg, gen_params, backend
+    return pipe_cfg, backend
 
 
 def _load_inputs(corpus_path, fmt, index_path, queries_path):
@@ -211,8 +207,8 @@ def _load_inputs(corpus_path, fmt, index_path, queries_path):
     return corpus, index, queries
 
 
-def _execute_batch(corpus, index, queries, cfg, pipe_cfg, gen_params, backend,
-                   out_dir, run_name, workers):
+def _execute_batch(corpus, index, queries, cfg, pipe_cfg, backend, out_dir, run_name,
+                   workers):
     """Run the pipeline over all queries and write run/trace/metadata files.
 
     Queries run in the given order, qid order from ``_read_queries``. Each
@@ -223,7 +219,7 @@ def _execute_batch(corpus, index, queries, cfg, pipe_cfg, gen_params, backend,
 
     def one(item):
         qid, text = item
-        return run_pipeline(text, corpus, index, backend, pipe_cfg, gen_params)
+        return run_pipeline(text, corpus, index, backend, pipe_cfg)
 
     run_path = os.path.join(out_dir, f"{run_name}.run.txt")
     trace_path = os.path.join(out_dir, f"{run_name}.trace.jsonl")
@@ -263,14 +259,17 @@ def _execute_batch(corpus, index, queries, cfg, pipe_cfg, gen_params, backend,
 def cmd_run(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
             workers, run_name, **kwargs):
     """Execute the expansion pipeline over a query set and write a TREC run."""
-    if not _is_run_field(run_name):  # the tag field of every run line
+    if not is_run_field(run_name):  # the tag field of every run line
         raise click.BadParameter(f"{run_name!r} is empty or contains whitespace",
                                  param_hint="--run-name")
+    if os.path.dirname(run_name):  # it names the files written in --out-dir
+        raise click.BadParameter(f"{run_name!r} contains a path separator",
+                                 param_hint="--run-name")
     cfg = _resolve_run_config(config_path, kwargs)
-    pipe_cfg, gen_params, backend = _build_run(cfg)
+    pipe_cfg, backend = _build_run(cfg)
     corpus, index, queries = _load_inputs(corpus_path, fmt, index_path, queries_path)
     run_path, metadata = _execute_batch(
-        corpus, index, queries, cfg, pipe_cfg, gen_params, backend, out_dir, run_name, workers
+        corpus, index, queries, cfg, pipe_cfg, backend, out_dir, run_name, workers
     )
     click.echo(
         f"wrote {run_path} ({metadata['query_count']} queries, "
@@ -341,10 +340,9 @@ def cmd_ablate(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
             raise click.ClickException(f"{qrels_path} shares no query id with {queries_path}")
 
     summary = []
-    for cell, cfg, pipe_cfg, gen_params, backend in cell_runs:
+    for cell, cfg, pipe_cfg, backend in cell_runs:
         run_path, metadata = _execute_batch(
-            corpus, index, queries, cfg, pipe_cfg, gen_params, backend,
-            out_dir, f"ablate_{cell}", workers
+            corpus, index, queries, cfg, pipe_cfg, backend, out_dir, f"ablate_{cell}", workers
         )
         row = {"cell": cell, "run": run_path,
                "generation_calls": metadata["generation_calls"]}

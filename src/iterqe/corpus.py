@@ -6,6 +6,8 @@ import json
 
 import orjson
 
+from .evaluate import is_run_field
+
 
 class CorpusFormatError(ValueError):
     """Raised when a corpus file cannot be parsed."""
@@ -89,8 +91,12 @@ def ingest_corpus(path: str, fmt: str = "jsonl") -> Corpus:
     with open(path, encoding="utf-8") as fh:
         try:
             for line_no, doc_id, text in (_jsonl_rows if fmt == "jsonl" else _tsv_rows)(fh):
-                if not doc_id:
-                    raise CorpusFormatError(f"line {line_no}: empty document id")
+                # an id is a field of the run file's lines
+                if not is_run_field(doc_id):
+                    if not doc_id:
+                        raise CorpusFormatError(f"line {line_no}: empty document id")
+                    raise CorpusFormatError(
+                        f"line {line_no}: document id {doc_id!r} contains whitespace")
                 if doc_id in seen:
                     raise CorpusFormatError(f"line {line_no}: duplicate document id {doc_id!r}")
                 seen.add(doc_id)

@@ -18,6 +18,14 @@ class TrecFormatError(ValueError):
     """Raised when a run or qrels file cannot be parsed."""
 
 
+def is_run_field(text: str) -> bool:
+    """Whether ``text`` is one field of a run file line: non-empty, no whitespace.
+
+    Query ids, passage ids and the run name are written as such fields.
+    """
+    return text.split() == [text]
+
+
 def run_lines(query_id: str, doc_ids, scores, tag: str) -> str:
     """One query's run lines, ranked 1, 2, ... in the order of ``doc_ids``.
 
@@ -42,9 +50,6 @@ class Qrels:
     """Graded relevance judgments keyed by (query_id, doc_id)."""
 
     judgments: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def query_ids(self) -> list[str]:
-        return sorted(self.judgments)
 
     @classmethod
     def read(cls, path: str) -> "Qrels":
@@ -153,7 +158,7 @@ class EvalResult:
 
 def evaluate_run(run: RunFile, qrels: Qrels, binary_threshold: int = 1) -> EvalResult:
     """Per-query and mean mAP / nDCG@10 / Recall@1000 over the qrels query set."""
-    query_ids = qrels.query_ids()
+    query_ids = sorted(qrels.judgments)
     if not set(query_ids) & set(run.rankings):
         raise ValueError("run and qrels share no query ids")
     per_query: dict[str, dict[str, float]] = {}

@@ -40,14 +40,11 @@ class GenerationError(RuntimeError):
 @dataclass(frozen=True)
 class GenerationParams:
     temperature: float = 0.7
-    num_samples: int = 2
     thinking_mode: str = "think"  # think | no_think_prefill | base_model
 
     def __post_init__(self):
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
         if self.thinking_mode not in ("think", "no_think_prefill", "base_model"):
             raise ValueError(f"unknown thinking_mode {self.thinking_mode!r}")
 
@@ -56,7 +53,6 @@ class GenerationParams:
 class ExpansionResponse:
     thinking_trace: str
     answer_text: str
-    raw_text: str
     degenerate: bool = False
 
 
@@ -95,21 +91,21 @@ def strip_thinking(raw: str) -> ExpansionResponse:
             end = text.index(THINK_CLOSE, start)
             thinking = text[start:end]
             answer = (text[: text.index(THINK_OPEN)] + text[end + len(THINK_CLOSE):]).strip()
-            return ExpansionResponse(thinking, answer, raw)
+            return ExpansionResponse(thinking, answer)
         # opener without closer: everything after it is thinking
-        return ExpansionResponse(text[start:], "", raw, degenerate=True)
+        return ExpansionResponse(text[start:], "", degenerate=True)
     if THINK_CLOSE in text:
         end = text.index(THINK_CLOSE)
-        return ExpansionResponse(text[:end], text[end + len(THINK_CLOSE):].strip(), raw)
-    return ExpansionResponse("", text.strip(), raw)
+        return ExpansionResponse(text[:end], text[end + len(THINK_CLOSE):].strip())
+    return ExpansionResponse("", text.strip())
 
 
 class ExpansionBackend:
-    """Interface shared by the HTTP client and the mock; tracks per-sample call counts."""
+    """Interface of both backends: built with the run's GenerationParams; counts samples."""
 
     generation_calls: int = 0
 
-    def generate(self, inputs: PromptInputs, params: GenerationParams) -> list[ExpansionResponse]:
+    def generate(self, inputs: PromptInputs, num_samples: int) -> list[ExpansionResponse]:
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -120,11 +116,13 @@ class ChatCompletionsBackend(ExpansionBackend):
     """Chat-completions-style HTTP backend with bounded retries."""
 
     def __init__(self, base_url: str, model: str, api_key: str = "",
-                 session: requests.Session | None = None):
+                 session: requests.Session | None = None,
+                 params: GenerationParams = GenerationParams()):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key
         self.session = session or requests.Session()
+        self.params = params
         self.generation_calls = 0
 
     def describe(self) -> dict:
@@ -159,16 +157,16 @@ class ChatCompletionsBackend(ExpansionBackend):
                 delay *= 2
         raise GenerationError(f"backend unreachable after {MAX_ATTEMPTS} attempts: {last_error}")
 
-    def generate(self, inputs: PromptInputs, params: GenerationParams) -> list[ExpansionResponse]:
+    def generate(self, inputs: PromptInputs, num_samples: int) -> list[ExpansionResponse]:
         messages = [{"role": "user", "content": build_prompt(inputs)}]
-        prefilled = params.thinking_mode == "no_think_prefill"
+        prefilled = self.params.thinking_mode == "no_think_prefill"
         if prefilled:
             messages.append({"role": "assistant", "content": NO_THINK_PREFILL})
         body = {
             "model": self.model,
             "messages": messages,
-            "temperature": params.temperature,
-            "n": params.num_samples,
+            "temperature": self.params.temperature,
+            "n": num_samples,
             "max_tokens": MAX_OUTPUT_TOKENS,
         }
         payload = self._post(body)
@@ -181,20 +179,20 @@ class ChatCompletionsBackend(ExpansionBackend):
             if prefilled:
                 # continuation after the prefill carries no thinking of its own
                 raw = raw.removeprefix(NO_THINK_PREFILL)
-                response = ExpansionResponse("", raw.strip(), raw)
+                response = ExpansionResponse("", raw.strip())
             else:
                 response = strip_thinking(raw)
             reasoning = message.get("reasoning_content")
             if isinstance(reasoning, str):
                 response = replace(response, thinking_trace=reasoning)
             responses.append(response)
-        if len(responses) != params.num_samples:
+        if len(responses) != num_samples:
             raise GenerationError(
-                f"backend returned {len(responses)} samples, expected {params.num_samples}"
+                f"backend returned {len(responses)} samples, expected {num_samples}"
             )
         if all(not r.answer_text for r in responses):
             raise GenerationError("all samples produced empty answers")
-        self.generation_calls += params.num_samples
+        self.generation_calls += num_samples
         return responses
 
 
@@ -202,12 +200,14 @@ class MockBackend(ExpansionBackend):
     """Deterministic offline backend for tests and reproducible runs."""
 
     def __init__(self, mode: str = "echo_terms", seed: int = 0,
-                 fixed_text: str = "mock expansion"):
+                 fixed_text: str = "mock expansion",
+                 params: GenerationParams = GenerationParams()):
         if mode not in ("echo_terms", "fixed_text"):
             raise ValueError(f"unknown mock mode {mode!r}")
         self.mode = mode
         self.seed = seed
         self.fixed_text = fixed_text
+        self.params = params
         self.generation_calls = 0
 
     def describe(self) -> dict:
@@ -227,9 +227,9 @@ class MockBackend(ExpansionBackend):
         rng.shuffle(terms)
         return " ".join(terms)
 
-    def generate(self, inputs: PromptInputs, params: GenerationParams) -> list[ExpansionResponse]:
+    def generate(self, inputs: PromptInputs, num_samples: int) -> list[ExpansionResponse]:
         answer = self.fixed_text if self.mode == "fixed_text" else self._echo_answer(inputs)
-        thinking = "" if params.thinking_mode != "think" else f"considering {len(inputs.passages)} passages"
-        raw = f"{THINK_OPEN}{thinking}{THINK_CLOSE}{answer}" if thinking else answer
-        self.generation_calls += params.num_samples
-        return [ExpansionResponse(thinking, answer, raw) for _ in range(params.num_samples)]
+        thinking = ("" if self.params.thinking_mode != "think"
+                    else f"considering {len(inputs.passages)} passages")
+        self.generation_calls += num_samples
+        return [ExpansionResponse(thinking, answer)] * num_samples

@@ -13,7 +13,7 @@ import numpy as np
 import orjson
 
 from .corpus import Corpus, truncate_text
-from .expansion import ExpansionBackend, GenerationParams, PromptInputs
+from .expansion import ExpansionBackend, PromptInputs
 from .index import PostingIndex, Ranking, search_topk
 
 log = logging.getLogger(__name__)
@@ -118,16 +118,12 @@ def _score_texts(scores: np.ndarray):
     return map(repr, scores.tolist())
 
 
-def word_count(text: str) -> int:
-    return len(text.split())
-
-
 def repetition_count(q0: str, expansions: list[str], lambda_: float) -> int:
     """How many times to repeat the original query against expansion dilution."""
-    q0_words = word_count(q0)
+    q0_words = len(q0.split())
     if q0_words < 1:
         raise ValueError("q0 must contain at least one word")
-    total = sum(word_count(e) for e in expansions)
+    total = sum(len(e.split()) for e in expansions)
     return max(1, int(total / (q0_words * lambda_)))
 
 
@@ -160,10 +156,8 @@ def run_round(
     index: PostingIndex,
     backend: ExpansionBackend,
     config: PipelineConfig,
-    gen_params: GenerationParams | None = None,
 ) -> tuple[QueryState, RoundRecord]:
     """One loop iteration: retrieval, redundancy filtering, expansion, query update."""
-    gen_params = gen_params or GenerationParams()
     rendered = render_query(state, config.lambda_)
     retrieved = search_topk(index, rendered, config.retrieval_depth)
     ranked = retrieved.ordinals.tolist()
@@ -181,9 +175,7 @@ def run_round(
     )
     # the generator always sees the original query, never the rendered one
     inputs = PromptInputs(query=state.q0, passages=passages)
-    responses = backend.generate(
-        inputs, replace(gen_params, num_samples=config.samples_per_round)
-    )
+    responses = backend.generate(inputs, config.samples_per_round)
     segment = " ".join(r.answer_text for r in responses)
     if config.accumulation_enabled:
         expansions = state.expansions + [segment]
@@ -213,7 +205,6 @@ def run_pipeline(
     index: PostingIndex,
     backend: ExpansionBackend,
     config: PipelineConfig,
-    gen_params: GenerationParams | None = None,
 ) -> tuple[Ranking, list[RoundRecord]]:
     """Full expansion run for one query; returns final ranking and per-round trace."""
     # one shared id list, as build_index(corpus) leaves it, proves that the
@@ -232,7 +223,7 @@ def run_pipeline(
             config, rounds=1, samples_per_round=config.rounds * config.samples_per_round
         )
     for _ in range(config.rounds):
-        state, record = run_round(state, corpus, index, backend, config, gen_params)
+        state, record = run_round(state, corpus, index, backend, config)
         trace.append(record)
     final_query = render_query(state, config.lambda_)
     final_hits = search_topk(index, final_query, config.retrieval_depth)

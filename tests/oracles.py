@@ -92,8 +92,8 @@ def reference_ingest_jsonl(path):
 
     Raises ``ValueError`` with the message the program gives for the first
     bad line: invalid JSON, a record that is not an object with ``"id"`` and
-    ``"contents"``, an empty id or a repeated id. Non-string ids and
-    contents are read as their ``str``.
+    ``"contents"``, an empty id, an id with whitespace in it or a repeated
+    id. Non-string ids and contents are read as their ``str``.
     """
     doc_ids, texts, seen = [], [], set()
     with open(path, encoding="utf-8") as fh:
@@ -111,6 +111,8 @@ def reference_ingest_jsonl(path):
             doc_id, text = str(record["id"]), str(record["contents"])
             if not doc_id:
                 raise ValueError(f"line {line_no}: empty document id")
+            if any(c.isspace() for c in doc_id):
+                raise ValueError(f"line {line_no}: document id {doc_id!r} contains whitespace")
             if doc_id in seen:
                 raise ValueError(f"line {line_no}: duplicate document id {doc_id!r}")
             seen.add(doc_id)

@@ -120,7 +120,8 @@ def test_criterion_3_pipeline_set_algebra():
             before = state
             state, record = run_round(state, corpus, index, backend, config)
             trials += 1
-            if set(record.feedback_docs) & (before.blacklist | set(before.prev_feedback)):
+            excluded = before.blacklist | set(before.prev_feedback)
+            if set(record.feedback_docs) & {index.doc_ids[o] for o in excluded}:
                 violations += 1  # filter soundness
             if not state.blacklist >= before.blacklist:
                 violations += 1  # blacklist monotonicity

@@ -101,6 +101,17 @@ class TestIndexCommand:
         assert f"{corpus}: not UTF-8 text" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    def test_corpus_id_with_whitespace_rejected(self, workspace, fmt):
+        corpus = workspace / f"spaced.{fmt}"
+        corpus.write_text('{"id": "d 1", "contents": "zork flim"}\n' if fmt == "jsonl"
+                          else "d 1\tzork flim\n")
+        idx = workspace / "index.gz"
+        result = invoke(["index", "--corpus", str(corpus), "--format", fmt, "--out", str(idx)])
+        assert result.exit_code != 0
+        assert "line 1: document id 'd 1' contains whitespace" in result.output
+        assert not idx.exists()
+
     def test_missing_output_directory(self, workspace):
         result = invoke(["index", "--corpus", str(workspace / "corpus.jsonl"),
                          "--out", str(workspace / "missing_dir" / "i.gz")])
@@ -298,6 +309,27 @@ class TestRunCommand:
         assert result.exit_code != 0
         assert "--run-name" in result.output
         assert "is empty or contains whitespace" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["a/b", "../escape", "runs/"])
+    def test_run_name_with_a_path_separator_rejected(self, workspace, name):
+        idx = build_index_file(workspace)
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out, ["--run-name", name]))
+        assert result.exit_code != 0
+        assert "--run-name" in result.output
+        assert "contains a path separator" in result.output
+        assert not out.exists()
+        assert not (workspace / "escape.run.txt").exists()
+
+    def test_corpus_id_with_whitespace_rejected_before_writing(self, workspace):
+        idx = build_index_file(workspace)
+        write_corpus(workspace / "corpus.jsonl",
+                     [{"id": "f 1", "contents": "zork flim"}, *CORPUS_DOCS[1:]])
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out))
+        assert result.exit_code != 0
+        assert "line 1: document id 'f 1' contains whitespace" in result.output
         assert not out.exists()
 
     def test_run_file_of_odd_but_valid_names_reads_back(self, workspace):
@@ -534,6 +566,20 @@ class TestAblateCommand:
                          "--out-dir", str(out)])
         assert result.exit_code != 0
         assert message in result.output
+        assert not out.exists()
+
+    def test_corpus_id_with_whitespace_rejected_before_writing(self, workspace):
+        idx = build_index_file(workspace)
+        (workspace / "corpus.tsv").write_text(
+            "".join(f"{d['id']}\t{d['contents']}\n" for d in CORPUS_DOCS).replace("x3", "x 3"))
+        out = workspace / "ablate_bad"
+        result = invoke(["ablate",
+                         "--corpus", str(workspace / "corpus.tsv"), "--format", "tsv",
+                         "--index", str(idx),
+                         "--queries", str(workspace / "queries.tsv"),
+                         "--out-dir", str(out)])
+        assert result.exit_code != 0
+        assert "line 10: document id 'x 3' contains whitespace" in result.output
         assert not out.exists()
 
     def test_unknown_cell(self, workspace):

@@ -174,6 +174,23 @@ class TestColumns:
                 ingest_corpus(str(path), fmt)
             assert str(info.value) == message
 
+    # a run file splits its lines at whitespace, so such an id would break it
+    @pytest.mark.parametrize("fmt, line, doc_id", [
+        ("tsv", "d 1\tzork flim", "d 1"),
+        ("tsv", "d\u20031\tzork flim", "d\u20031"),
+        ("tsv", " \tzork flim", " "),
+        ("jsonl", '{"id": "d 1", "contents": "zork flim"}', "d 1"),
+        ("jsonl", '{"id": "d\\n1", "contents": "zork flim"}', "d\n1"),
+        ("jsonl", '{"id": [1, 2], "contents": "zork flim"}', "[1, 2]"),
+    ])
+    def test_ingest_rejects_an_id_with_whitespace(self, tmp_path, fmt, line, doc_id):
+        path = tmp_path / f"c.{fmt}"
+        first = "d0\ta" if fmt == "tsv" else '{"id": "d0", "contents": "a"}'
+        path.write_text(f"{first}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as info:
+            ingest_corpus(str(path), fmt)
+        assert str(info.value) == f"line 3: document id {doc_id!r} contains whitespace"
+
     def test_index_equals_one_built_from_documents(self, tmp_path):
         rng = np.random.default_rng(7)
         words = ["alpha", "beta", "gamma", "delta", "the", "of", "river", "boat"]

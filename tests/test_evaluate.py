@@ -84,6 +84,9 @@ class TestRecall:
     def test_empty_ranking(self):
         assert recall_at_k([], {"a"}, 10) == 0.0
 
+    def test_relevant_at_exactly_rank_k_counts(self):
+        assert recall_at_k(["x", "y", "a", "b"], {"a", "b"}, 3) == 0.5
+
 
 class TestEvaluateRun:
     def test_ideal_run(self):
@@ -147,7 +150,13 @@ class TestFileIO:
         path.write_text("q1 0 d1 2\nq1 0 d2 0\nq2 0 d1 1\n")
         qrels = Qrels.read(str(path))
         assert qrels.judgments["q1"] == {"d1": 2, "d2": 0}
-        assert qrels.query_ids() == ["q1", "q2"]
+        assert sorted(qrels.judgments) == ["q1", "q2"]
+
+    def test_qrels_negative_grade_rejected(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 0\nq1 0 d2 -1\n")
+        with pytest.raises(TrecFormatError, match=":2: negative grade"):
+            Qrels.read(str(path))
 
     def test_qrels_bad_line(self, tmp_path):
         path = tmp_path / "qrels.txt"

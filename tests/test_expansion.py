@@ -59,6 +59,11 @@ class TestStripThinking:
         assert resp.answer_text == "xyz"
         assert not resp.degenerate
 
+    def test_answer_around_the_block_is_stripped(self):
+        resp = strip_thinking(" lead <think>t</think> answer here ")
+        assert resp.thinking_trace == "t"
+        assert resp.answer_text == "lead  answer here"
+
     def test_no_block(self):
         resp = strip_thinking("xyz")
         assert resp.thinking_trace == ""
@@ -81,10 +86,6 @@ class TestStripThinking:
         assert resp.thinking_trace == "only reasoning"
         assert resp.answer_text == ""
 
-    def test_raw_preserved(self):
-        raw = "<think>t</think> answer here "
-        assert strip_thinking(raw).raw_text == raw
-
     @given(st.text(min_size=1), st.text())
     def test_reconstruction(self, thinking, answer):
         # delimiters inside the generated parts would change the parse
@@ -98,26 +99,26 @@ class TestStripThinking:
 
 class TestMockBackend:
     def test_fixed_text(self):
-        responses = MockBackend(mode="fixed_text", fixed_text="hello").generate(
-            PromptInputs("q", ("p",)), BASE_MODEL
+        responses = MockBackend(mode="fixed_text", fixed_text="hello", params=BASE_MODEL).generate(
+            PromptInputs("q", ("p",)), 2
         )
         assert all(r.answer_text == "hello" for r in responses)
 
     def test_deterministic(self):
         inputs = PromptInputs("grays harbor", ("grays bay water", "bay tide"))
-        a = MockBackend(seed=7).generate(inputs, BASE_MODEL)
-        b = MockBackend(seed=7).generate(inputs, BASE_MODEL)
+        a = MockBackend(seed=7, params=BASE_MODEL).generate(inputs, 2)
+        b = MockBackend(seed=7, params=BASE_MODEL).generate(inputs, 2)
         assert a == b
 
     def test_echo_most_frequent_term(self):
-        responses = MockBackend(mode="echo_terms").generate(
-            PromptInputs("q", ("alpha beta alpha",)), BASE_MODEL
+        responses = MockBackend(mode="echo_terms", params=BASE_MODEL).generate(
+            PromptInputs("q", ("alpha beta alpha",)), 2
         )
         assert "alpha" in responses[0].answer_text
 
     def test_echo_contains_passage_terms(self):
         inputs = PromptInputs("q", ("grays bay exploration", "grays bay tide"))
-        responses = MockBackend().generate(inputs, BASE_MODEL)
+        responses = MockBackend(params=BASE_MODEL).generate(inputs, 2)
         assert "grays" in responses[0].answer_text
         assert "bay" in responses[0].answer_text
 
@@ -137,21 +138,20 @@ class TestMockBackend:
     @example(passages=[" ".join(f"w{i}" for i in range(20))], seed=1, query="q")  # ties cut at 8
     @example(passages=["ab", "cd"], seed=2, query="q")  # a passage boundary splits tokens
     def test_echo_matches_reference(self, passages, seed, query):
-        answer = MockBackend(seed=seed).generate(PromptInputs(query, tuple(passages)), BASE_MODEL)
+        answer = MockBackend(seed=seed, params=BASE_MODEL).generate(
+            PromptInputs(query, tuple(passages)), 2)
         expected = reference_echo_answer(query, passages, seed, MOCK_ECHO_TERMS)
-        assert [r.answer_text for r in answer] == [expected] * BASE_MODEL.num_samples
+        assert [r.answer_text for r in answer] == [expected] * 2
 
     def test_sample_count(self):
         backend = MockBackend(mode="fixed_text")
-        out = backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=3))
+        out = backend.generate(PromptInputs("q", ()), 3)
         assert len(out) == 3
         assert backend.generation_calls == 3
 
     def test_think_mode_has_trace(self):
-        backend = MockBackend(mode="fixed_text")
-        out = backend.generate(
-            PromptInputs("q", ("p",)), GenerationParams(thinking_mode="think")
-        )
+        backend = MockBackend(mode="fixed_text", params=GenerationParams(thinking_mode="think"))
+        out = backend.generate(PromptInputs("q", ("p",)), 2)
         assert all(r.thinking_trace for r in out)
 
 
@@ -192,10 +192,10 @@ def chat_payload(*contents):
 
 
 class TestHttpBackend:
-    def make(self, responses):
+    def make(self, responses, params=GenerationParams()):
         session = FakeSession(responses)
         backend = ChatCompletionsBackend(
-            "http://backend/v1", "test-model", api_key="sk-test", session=session
+            "http://backend/v1", "test-model", api_key="sk-test", session=session, params=params
         )
         return backend, session
 
@@ -204,7 +204,7 @@ class TestHttpBackend:
             [FakeResponse(200, chat_payload("<think>hmm</think>passage one",
                                             "<think>hm2</think>passage two"))]
         )
-        out = backend.generate(PromptInputs("q", ("p",)), GenerationParams(num_samples=2))
+        out = backend.generate(PromptInputs("q", ("p",)), 2)
         assert [r.answer_text for r in out] == ["passage one", "passage two"]
         assert [r.thinking_trace for r in out] == ["hmm", "hm2"]
         assert backend.generation_calls == 2
@@ -221,7 +221,7 @@ class TestHttpBackend:
         backend, session = self.make(
             [FakeResponse(503), FakeResponse(200, chat_payload("a"))]
         )
-        out = backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=1))
+        out = backend.generate(PromptInputs("q", ()), 1)
         assert out[0].answer_text == "a"
         assert len(session.requests) == 2
 
@@ -229,23 +229,21 @@ class TestHttpBackend:
         monkeypatch.setattr("time.sleep", lambda s: None)
         backend, session = self.make([FakeResponse(503)] * 3)
         with pytest.raises(GenerationError, match="unreachable"):
-            backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=1))
+            backend.generate(PromptInputs("q", ()), 1)
         assert len(session.requests) == 3
 
     def test_4xx_not_retried(self):
         backend, session = self.make([FakeResponse(400, text="bad request")])
         with pytest.raises(GenerationError, match="rejected"):
-            backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=1))
+            backend.generate(PromptInputs("q", ()), 1)
         assert len(session.requests) == 1
 
     def test_no_think_prefill(self):
         backend, session = self.make(
-            [FakeResponse(200, chat_payload(NO_THINK_PREFILL + " direct answer"))]
+            [FakeResponse(200, chat_payload(NO_THINK_PREFILL + " direct answer"))],
+            GenerationParams(thinking_mode="no_think_prefill"),
         )
-        out = backend.generate(
-            PromptInputs("q", ("p",)),
-            GenerationParams(num_samples=1, thinking_mode="no_think_prefill"),
-        )
+        out = backend.generate(PromptInputs("q", ("p",)), 1)
         assert out[0].thinking_trace == ""
         assert out[0].answer_text == "direct answer"
         messages = session.requests[0]["json"]["messages"]
@@ -254,18 +252,18 @@ class TestHttpBackend:
     def test_sample_shortfall_is_error(self):
         backend, _ = self.make([FakeResponse(200, chat_payload("only one"))])
         with pytest.raises(GenerationError, match="expected 2"):
-            backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=2))
+            backend.generate(PromptInputs("q", ()), 2)
 
     def test_all_empty_answers_is_error(self):
         backend, _ = self.make([FakeResponse(200, chat_payload("", ""))])
         with pytest.raises(GenerationError, match="empty"):
-            backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=2))
+            backend.generate(PromptInputs("q", ()), 2)
 
     def test_non_json_200_is_error(self):
         page = "<html><body>502 Bad Gateway</body></html>"
         backend, session = self.make([NonJsonResponse(200, text=page)])
         with pytest.raises(GenerationError, match="non-JSON") as info:
-            backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=1))
+            backend.generate(PromptInputs("q", ()), 1)
         assert "200 <html><body>502 Bad Gateway" in str(info.value)
         assert len(session.requests) == 1
 
@@ -275,19 +273,18 @@ class TestHttpBackend:
             {"message": {"content": "the answer", "reasoning_content": "thought hard"}},
         ]}
         backend, _ = self.make([FakeResponse(200, payload)])
-        out = backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=2))
+        out = backend.generate(PromptInputs("q", ()), 2)
         assert [r.answer_text for r in out] == ["", "the answer"]
         assert [r.thinking_trace for r in out] == ["ran out of tokens", "thought hard"]
-        assert [r.raw_text for r in out] == ["", "the answer"]
 
     def test_all_null_content_is_error(self):
         payload = {"choices": [{"message": {"content": None, "reasoning_content": "t"}}] * 2}
         backend, _ = self.make([FakeResponse(200, payload)])
         with pytest.raises(GenerationError, match="empty"):
-            backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=2))
+            backend.generate(PromptInputs("q", ()), 2)
 
     def test_lone_close_in_content(self):
         backend, _ = self.make([FakeResponse(200, chat_payload("reasoning</think>answer"))])
-        out = backend.generate(PromptInputs("q", ()), GenerationParams(num_samples=1))
+        out = backend.generate(PromptInputs("q", ()), 1)
         assert out[0].thinking_trace == "reasoning"
         assert out[0].answer_text == "answer"

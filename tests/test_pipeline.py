@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iterqe.corpus import Corpus
-from iterqe.expansion import GenerationParams, MockBackend
+from iterqe.expansion import MockBackend
 from iterqe.index import Ranking, build_index, search_topk
 from iterqe.pipeline import (
     PipelineConfig,
@@ -140,6 +140,12 @@ class TestRunRound:
         assert state.expansions == ["E E"]
         assert state.round == 1
 
+    def test_retrieves_to_the_configured_depth(self):
+        corpus, index = feedback_setup()
+        config = PipelineConfig(retrieval_depth=3)  # "zork flim" matches five passages
+        _, record = run_round(QueryState("zork flim"), corpus, index, MockBackend(), config)
+        assert len(record.retrieved) == 3
+
     def test_filter_disabled_keeps_topk(self):
         corpus, index = feedback_setup()
         backend = MockBackend()
@@ -213,6 +219,15 @@ class TestRunPipeline:
 
         assert list(final_hits) == list(search_topk(index, "zork flim", config.retrieval_depth))
         assert backend.generation_calls == 0
+
+    def test_final_retrieval_to_the_configured_depth(self):
+        corpus, index = feedback_setup()
+        config = PipelineConfig(rounds=1, retrieval_depth=3)
+        final_hits, trace = run_pipeline("zork flim", corpus, index, MockBackend(), config)
+        # the expanded query matches six passages
+        assert len(search_topk(index, trace[-1].rendered_query, 1000)) == 6
+        assert len(final_hits) == 3
+        assert trace[-1].retrieved is final_hits
 
     def test_trace_shape_interaction(self):
         corpus, index = feedback_setup()
