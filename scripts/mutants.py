@@ -1,17 +1,16 @@
 """Mutation check of Tier-1's tests: named one-line mutants of ``src/``.
 
-    python3 scripts/mutants.py                 # every mutant
-    python3 scripts/mutants.py NAME [NAME ...] # the named ones
+    python3 scripts/mutants.py
 
 Each mutant replaces one exact string of one file of ``src/iterqe`` with
 another; the string must occur there exactly once. The script copies
 ``src/``, ``tests/``, ``scripts/``, ``perfbench/`` and ``pyproject.toml``
 into a temporary directory, checks that Tier-1 passes on the unmutated
 copy, and then, one mutant at a time, mutates the copy and runs Tier-1
-there with ``-x`` and a timeout. ``tests/test_mutants.py`` is left out of
-these runs: it checks this table against the source, so any mutant would
-fail it. Everything is written in the temporary
-directory, never in the working tree. A mutant is killed when the tests
+there with ``-x`` and a timeout of ``TIMEOUT_S`` seconds.
+``tests/test_mutants.py`` is left out of these runs: it checks this table
+against the source, so any mutant would fail it. Everything is written in
+the temporary directory, never in the working tree. A mutant is killed when the tests
 fail or time out, and survives when they pass; the exit status is 1 when
 any mutant survives.
 
@@ -25,7 +24,6 @@ with ``table_problems`` that every mutant still applies
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "iterqe")
 COPIED = ("src", "tests", "scripts", "perfbench", "pyproject.toml")
-DEFAULT_TIMEOUT_S = 300.0
+TIMEOUT_S = 300.0
 TABLE_TEST = os.path.join("tests", "test_mutants.py")
 
 
@@ -181,34 +179,24 @@ def table_problems(root: str = ROOT) -> list[str]:
     return problems
 
 
-def run_tests(copy: str, timeout_s: float) -> tuple[bool, str]:
+def run_tests(copy: str) -> tuple[bool, str]:
     """Tier-1 on the copy: (passed, how it ended)."""
     env = {**os.environ, "PYTHONPATH": os.path.join(copy, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            f"--ignore={TABLE_TEST}", "tests"]
     try:
         proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
-                              timeout=timeout_s)
+                              timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return False, f"timed out after {timeout_s:g} s"
+        return False, f"timed out after {TIMEOUT_S:g} s"
     lines = proc.stdout.strip().splitlines()
     return proc.returncode == 0, lines[-1] if lines else f"exit status {proc.returncode}"
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
-                        help="seconds for one Tier-1 run")
-    args = parser.parse_args()
-
     problems = table_problems()
     if problems:
         sys.exit("the mutant table does not apply:\n  " + "\n  ".join(problems))
-    unknown = sorted(set(args.names) - {m.name for m in MUTANTS})
-    if unknown:
-        sys.exit(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
 
     with tempfile.TemporaryDirectory(prefix="iterqe-mutants-") as copy:
         for item in COPIED:
@@ -218,11 +206,11 @@ def main() -> int:
                     "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_work"))
             else:
                 shutil.copy2(src, dst)
-        passed, how = run_tests(copy, args.timeout)
+        passed, how = run_tests(copy)
         if not passed:
             sys.exit(f"Tier-1 fails on the unmutated copy ({how}); no mutant was run")
         survived = []
-        for m in chosen:
+        for m in MUTANTS:
             if m.equivalent:
                 print(f"equivalent {m.name}: {m.equivalent}", flush=True)
                 continue
@@ -233,7 +221,7 @@ def main() -> int:
                 fh.write(original.replace(m.old, m.new))
             start = time.perf_counter()
             try:
-                passed, how = run_tests(copy, args.timeout)
+                passed, how = run_tests(copy)
             finally:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(original)
@@ -242,7 +230,7 @@ def main() -> int:
                   flush=True)
             if passed:
                 survived.append(m.name)
-    run = [m for m in chosen if not m.equivalent]
+    run = [m for m in MUTANTS if not m.equivalent]
     print(f"{len(run) - len(survived)} of {len(run)} killed"
           + (f"; survived: {', '.join(survived)}" if survived else ""))
     return 1 if survived else 0
