@@ -112,12 +112,9 @@ MUTANTS = [
            "answer = (text[: text.index(THINK_OPEN)] + text[end + len(THINK_CLOSE):]).strip()",
            "answer = text[: text.index(THINK_OPEN)] + text[end + len(THINK_CLOSE):]"),
     # pipeline
-    Mutant("pipeline-round-depth-1000", "pipeline.py",
-           "retrieved = search_topk(index, rendered, config.retrieval_depth)",
-           "retrieved = search_topk(index, rendered, 1000)"),
-    Mutant("pipeline-final-depth-1000", "pipeline.py",
-           "final_hits = search_topk(index, final_query, config.retrieval_depth)",
-           "final_hits = search_topk(index, final_query, 1000)"),
+    Mutant("pipeline-retrieval-depth-1000", "pipeline.py",
+           "search_topk(index, rendered, config.retrieval_depth)",
+           "search_topk(index, rendered, 1000)"),
     Mutant("pipeline-filter-ignores-blacklist", "pipeline.py",
            "excluded = blacklist | set(prev_feedback)", "excluded = set(prev_feedback)"),
     Mutant("pipeline-repetition-floor-0", "pipeline.py",

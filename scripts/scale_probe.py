@@ -6,13 +6,13 @@
 Run from the root of a source tree: iterqe is imported from ``src/`` and
 the corpus generator from ``perfbench/gen.py`` of the same tree (read
 only), with that generator's sizes except the number of passages. A child
-process writes the corpus to a temporary directory, removed afterwards,
-so that generation leaves nothing in the measured process. The last line
-of standard output is one JSON object: wall seconds of ingest, build,
-save and load, the index file's bytes, the process's peak RSS so far
-after ingest, build and load and at the end, and the median
-``search_topk`` milliseconds (top 1000) for queries of 4, 50, 200 and
-1000 words drawn from the corpus.
+process writes the corpus to a temporary directory under ``$TMPDIR`` (or
+the system's default), removed afterwards, so that generation leaves
+nothing in the measured process. The last line of standard output is one
+JSON object: wall seconds of ingest, build, save and load, the index
+file's bytes, the process's peak RSS so far after ingest, build and load
+and at the end, and the median ``search_topk`` milliseconds (top 1000)
+for queries of 4, 50, 200 and 1000 words drawn from the corpus.
 
 At its default size it is not a test: 200,000 passages need about half
 a gigabyte and a minute or more on two cores. Tier-1 runs it with
@@ -98,12 +98,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--passages", type=int, default=DEFAULT_PASSAGES)
     parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--work-dir", default=None,
-                        help="parent of the temporary corpus directory (default: the system's)")
     args = parser.parse_args()
     if args.passages < 1:
         parser.error("--passages must be >= 1")
-    with tempfile.TemporaryDirectory(prefix="iterqe-scale-", dir=args.work_dir) as work_dir:
+    with tempfile.TemporaryDirectory(prefix="iterqe-scale-") as work_dir:
         result = probe(args.passages, args.seed, work_dir)
     for key, value in result.items():
         if key != "machine":

@@ -13,7 +13,8 @@ import click
 
 from . import expansion
 from .corpus import CorpusFormatError, ingest_corpus
-from .evaluate import Qrels, RunFile, TrecFormatError, evaluate_run, is_run_field, run_lines
+from .evaluate import (Qrels, RunFile, TrecFormatError, evaluate_run, is_run_field, run_lines,
+                       utf8_text)
 from .expansion import ChatCompletionsBackend, GenerationParams, MockBackend
 from .index import Bm25Params, PostingIndex, build_index
 from .pipeline import PipelineConfig, run_pipeline
@@ -35,7 +36,7 @@ def _load_config_file(path: str | None) -> dict:
 def _read_queries(path: str) -> list[tuple[str, str]]:
     """``(qid, text)`` pairs sorted by qid, the order in which queries run and are written."""
     queries = {}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path, click.ClickException) as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -200,11 +201,7 @@ def _load_inputs(corpus_path, fmt, index_path, queries_path):
         )
     # equal lists: keep one, which run_pipeline requires
     corpus.doc_ids = index.doc_ids
-    try:
-        queries = _read_queries(queries_path)
-    except UnicodeDecodeError as exc:
-        raise click.ClickException(f"{queries_path}: not UTF-8 text: {exc}")
-    return corpus, index, queries
+    return corpus, index, _read_queries(queries_path)
 
 
 def _execute_batch(corpus, index, queries, cfg, pipe_cfg, backend, out_dir, run_name,

@@ -6,7 +6,7 @@ import json
 
 import orjson
 
-from .evaluate import is_run_field
+from .evaluate import is_run_field, utf8_text
 
 
 class CorpusFormatError(ValueError):
@@ -88,22 +88,19 @@ def ingest_corpus(path: str, fmt: str = "jsonl") -> Corpus:
     doc_ids: list[str] = []
     texts: list[str] = []
     seen: set[str] = set()  # dropped on return: no id map outlives ingestion
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, doc_id, text in (_jsonl_rows if fmt == "jsonl" else _tsv_rows)(fh):
-                # an id is a field of the run file's lines
-                if not is_run_field(doc_id):
-                    if not doc_id:
-                        raise CorpusFormatError(f"line {line_no}: empty document id")
-                    raise CorpusFormatError(
-                        f"line {line_no}: document id {doc_id!r} contains whitespace")
-                if doc_id in seen:
-                    raise CorpusFormatError(f"line {line_no}: duplicate document id {doc_id!r}")
-                seen.add(doc_id)
-                doc_ids.append(doc_id)
-                texts.append(text)
-        except UnicodeDecodeError as exc:
-            raise CorpusFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    with utf8_text(path, CorpusFormatError) as fh:
+        for line_no, doc_id, text in (_jsonl_rows if fmt == "jsonl" else _tsv_rows)(fh):
+            # an id is a field of the run file's lines
+            if not is_run_field(doc_id):
+                if not doc_id:
+                    raise CorpusFormatError(f"line {line_no}: empty document id")
+                raise CorpusFormatError(
+                    f"line {line_no}: document id {doc_id!r} contains whitespace")
+            if doc_id in seen:
+                raise CorpusFormatError(f"line {line_no}: duplicate document id {doc_id!r}")
+            seen.add(doc_id)
+            doc_ids.append(doc_id)
+            texts.append(text)
     return Corpus(doc_ids, texts)
 
 

@@ -36,13 +36,16 @@ def run_lines(query_id: str, doc_ids, scores, tag: str) -> str:
 
 
 @contextmanager
-def _utf8_text(path: str):
-    """The file opened as UTF-8 text; a decode error while it is read names the file."""
+def utf8_text(path: str, error: type[Exception]):
+    """The file opened as UTF-8 text; a decode error while it is read raises ``error``.
+
+    The one rule for the corpus, query, run and qrels files: the message names the file.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise TrecFormatError(f"{path}: not UTF-8 text: {exc}") from None
+            raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
 @dataclass
@@ -54,7 +57,7 @@ class Qrels:
     @classmethod
     def read(cls, path: str) -> "Qrels":
         qrels = cls()
-        with _utf8_text(path) as fh:
+        with utf8_text(path, TrecFormatError) as fh:
             for line_no, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -96,7 +99,7 @@ class RunFile:
     @classmethod
     def read(cls, path: str) -> "RunFile":
         run = cls()
-        with _utf8_text(path) as fh:
+        with utf8_text(path, TrecFormatError) as fh:
             for line_no, line in enumerate(fh, 1):
                 if not line.strip():
                     continue

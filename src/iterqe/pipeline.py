@@ -59,12 +59,17 @@ class QueryState:
 
 @dataclass
 class RoundRecord:
+    """One retrieval of a query and, for a round, the expansion it fed.
+
+    The final retrieval's record keeps the empty defaults.
+    """
+
     round: int
     retrieved: Ranking
-    feedback_docs: list[str]
     rendered_query: str
-    expansion_segment: str
-    thinking_traces: list[str]
+    feedback_docs: list[str] = field(default_factory=list)
+    expansion_segment: str = ""
+    thinking_traces: list[str] = field(default_factory=list)
 
     def trace_line(self, query_id: str) -> str:
         """The record as one JSON line of the trace, without the newline.
@@ -150,6 +155,13 @@ def filter_feedback(
     return feedback, blacklist | excluded.intersection(ranked)
 
 
+def _retrieve(state: QueryState, index: PostingIndex, config: PipelineConfig) -> RoundRecord:
+    """The record of a retrieval at the state's rendered query."""
+    rendered = render_query(state, config.lambda_)
+    return RoundRecord(state.round, search_topk(index, rendered, config.retrieval_depth),
+                       rendered)
+
+
 def run_round(
     state: QueryState,
     corpus: Corpus,
@@ -158,9 +170,8 @@ def run_round(
     config: PipelineConfig,
 ) -> tuple[QueryState, RoundRecord]:
     """One loop iteration: retrieval, redundancy filtering, expansion, query update."""
-    rendered = render_query(state, config.lambda_)
-    retrieved = search_topk(index, rendered, config.retrieval_depth)
-    ranked = retrieved.ordinals.tolist()
+    record = _retrieve(state, index, config)
+    ranked = record.retrieved.ordinals.tolist()
     if config.filter_enabled:
         feedback, new_blacklist = filter_feedback(
             ranked, state.blacklist, state.prev_feedback, config.top_k_feedback
@@ -188,14 +199,9 @@ def run_round(
         prev_feedback=feedback,
         round=state.round + 1,
     )
-    record = RoundRecord(
-        round=state.round,
-        retrieved=retrieved,
-        feedback_docs=[index.doc_ids[o] for o in feedback],
-        rendered_query=rendered,
-        expansion_segment=segment,
-        thinking_traces=[r.thinking_trace for r in responses],
-    )
+    record.feedback_docs = [index.doc_ids[o] for o in feedback]
+    record.expansion_segment = segment
+    record.thinking_traces = [r.thinking_trace for r in responses]
     return new_state, record
 
 
@@ -225,17 +231,6 @@ def run_pipeline(
     for _ in range(config.rounds):
         state, record = run_round(state, corpus, index, backend, config)
         trace.append(record)
-    final_query = render_query(state, config.lambda_)
-    final_hits = search_topk(index, final_query, config.retrieval_depth)
     # the final retrieval is part of the audit trail too
-    trace.append(
-        RoundRecord(
-            round=state.round,
-            retrieved=final_hits,
-            feedback_docs=[],
-            rendered_query=final_query,
-            expansion_segment="",
-            thinking_traces=[],
-        )
-    )
-    return final_hits, trace
+    trace.append(_retrieve(state, index, config))
+    return trace[-1].retrieved, trace

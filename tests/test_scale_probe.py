@@ -18,8 +18,10 @@ PROBE_KEYS = {
 def test_scale_probe_runs_on_2000_passages(tmp_path):
     result = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "scale_probe.py"),
-         "--passages", "2000", "--work-dir", str(tmp_path)],
+         "--passages", "2000"],
         capture_output=True, text=True, timeout=120,
+        # tempfile puts the probe's temporary directory under TMPDIR
+        env={**os.environ, "TMPDIR": str(tmp_path)},
     )
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout.splitlines()[-1])
