@@ -85,6 +85,14 @@ MUTANTS = [
     Mutant("index-saved-params-swapped", "index.py",
            "params=np.array([self.params.k1, self.params.b], dtype=np.float64)",
            "params=np.array([self.params.b, self.params.k1], dtype=np.float64)"),
+    Mutant("index-k1-non-finite-accepted", "index.py",
+           "if not 0 <= self.k1 < math.inf:", "if self.k1 < 0:"),
+    Mutant("index-ordinal-at-doc-count-accepted", "index.py",
+           "ordinals.max() < doc_count", "ordinals.max() <= doc_count"),
+    Mutant("index-offsets-order-unchecked", "index.py",
+           "np.any(offsets[1:] < offsets[:-1])", "False"),
+    Mutant("index-doc-lengths-count-unchecked", "index.py",
+           'if len(arrays["doc_lengths"]) != doc_count:', "if False:"),
     # evaluate
     Mutant("evaluate-recall-cut-at-k-minus-1", "evaluate.py",
            "return len(relevant & set(ranking[:k])) / len(relevant)",
@@ -98,6 +106,12 @@ MUTANTS = [
     Mutant("evaluate-run-ranks-from-0", "evaluate.py",
            "repeat(query_id), doc_ids, count(1), scores, repeat(tag)",
            "repeat(query_id), doc_ids, count(0), scores, repeat(tag)"),
+    Mutant("evaluate-ranked-in-file-order", "evaluate.py",
+           "ranking = sorted(scores, key=scores.__getitem__, reverse=True)",
+           "ranking = list(scores)"),
+    Mutant("evaluate-ties-reversed", "evaluate.py",
+           "ranking = sorted(scores, key=scores.__getitem__, reverse=True)",
+           "ranking = sorted(scores, key=scores.__getitem__)[::-1]"),
     # expansion
     Mutant("expansion-prefill-ignored", "expansion.py",
            'prefilled = self.params.thinking_mode == "no_think_prefill"', "prefilled = False"),
@@ -111,10 +125,18 @@ MUTANTS = [
     Mutant("expansion-answer-not-stripped", "expansion.py",
            "answer = (text[: text.index(THINK_OPEN)] + text[end + len(THINK_CLOSE):]).strip()",
            "answer = text[: text.index(THINK_OPEN)] + text[end + len(THINK_CLOSE):]"),
+    Mutant("expansion-temperature-non-finite-accepted", "expansion.py",
+           "if not 0 <= self.temperature < math.inf:", "if self.temperature < 0:"),
+    Mutant("expansion-429-not-retried", "expansion.py",
+           "if resp.status_code == 429:", "if resp.status_code == 0:"),
+    Mutant("expansion-retry-after-ignored", "expansion.py",
+           "pause = int(seconds)", "pause = delay"),
     # pipeline
     Mutant("pipeline-retrieval-depth-1000", "pipeline.py",
            "search_topk(index, rendered, config.retrieval_depth)",
            "search_topk(index, rendered, 1000)"),
+    Mutant("pipeline-lambda-non-finite-accepted", "pipeline.py",
+           "if not 0 < self.lambda_ < math.inf:", "if self.lambda_ <= 0:"),
     Mutant("pipeline-filter-ignores-blacklist", "pipeline.py",
            "excluded = blacklist | set(prev_feedback)", "excluded = set(prev_feedback)"),
     Mutant("pipeline-repetition-floor-0", "pipeline.py",

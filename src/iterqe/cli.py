@@ -83,8 +83,9 @@ def cmd_index(corpus_path, fmt, out_path, k1, b, force):
     if not os.path.isdir(out_dir):
         raise click.ClickException(f"output directory not found: {out_dir}")
     try:
+        params = Bm25Params(k1=k1, b=b)
         corpus = ingest_corpus(corpus_path, fmt)
-        index = build_index(corpus, Bm25Params(k1=k1, b=b))
+        index = build_index(corpus, params)
         index.save(out_path)
     except (CorpusFormatError, ValueError, OSError) as exc:
         raise click.ClickException(str(exc))

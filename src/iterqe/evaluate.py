@@ -88,9 +88,6 @@ class RunFile:
             raise ValueError(f"duplicate doc {doc_id!r} for query {query_id!r}")
         ranking[doc_id] = score
 
-    def doc_ids(self, query_id: str) -> list[str]:
-        return list(self.rankings.get(query_id, ()))
-
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for qid, ranking in sorted(self.rankings.items()):
@@ -160,7 +157,11 @@ class EvalResult:
 
 
 def evaluate_run(run: RunFile, qrels: Qrels, binary_threshold: int = 1) -> EvalResult:
-    """Per-query and mean mAP / nDCG@10 / Recall@1000 over the qrels query set."""
+    """Per-query and mean mAP / nDCG@10 / Recall@1000 over the qrels query set.
+
+    Each query's documents are ranked by score, descending, as trec_eval ranks
+    them; tied scores keep their order in the run (trec_eval breaks ties by docno).
+    """
     query_ids = sorted(qrels.judgments)
     if not set(query_ids) & set(run.rankings):
         raise ValueError("run and qrels share no query ids")
@@ -168,7 +169,8 @@ def evaluate_run(run: RunFile, qrels: Qrels, binary_threshold: int = 1) -> EvalR
     for qid in query_ids:
         grades = qrels.judgments[qid]
         relevant = {d for d, g in grades.items() if g >= binary_threshold}
-        ranking = run.doc_ids(qid)
+        scores = run.rankings.get(qid, {})
+        ranking = sorted(scores, key=scores.__getitem__, reverse=True)  # stable
         per_query[qid] = {
             "map": average_precision(ranking, relevant),
             f"ndcg@{NDCG_K}": ndcg_at_k(ranking, grades, NDCG_K),

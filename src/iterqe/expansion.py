@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import random
 import time
 from collections import Counter
@@ -43,8 +44,8 @@ class GenerationParams:
     thinking_mode: str = "think"  # think | no_think_prefill | base_model
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0 <= self.temperature < math.inf:  # NaN fails every comparison
+            raise ValueError("temperature must be finite and non-negative")
         if self.thinking_mode not in ("think", "no_think_prefill", "base_model"):
             raise ValueError(f"unknown thinking_mode {self.thinking_mode!r}")
 
@@ -136,6 +137,7 @@ class ChatCompletionsBackend(ExpansionBackend):
         delay = 1.0
         last_error: Exception | None = None
         for attempt in range(1, MAX_ATTEMPTS + 1):
+            pause = delay
             try:
                 resp = self.session.post(url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S)
             except requests.RequestException as exc:
@@ -149,11 +151,17 @@ class ChatCompletionsBackend(ExpansionBackend):
                             f"backend returned a non-JSON response: "
                             f"{resp.status_code} {resp.text[:200]}"
                         ) from None
-                if 400 <= resp.status_code < 500:
+                if resp.status_code == 429:
+                    # rate limited: retried, after the seconds the server names if it
+                    # names them (RFC 9110 10.2.3; the HTTP-date form is not read)
+                    seconds = resp.headers.get("Retry-After", "").strip()
+                    if seconds.isascii() and seconds.isdigit():
+                        pause = int(seconds)
+                elif 400 <= resp.status_code < 500:
                     raise GenerationError(f"backend rejected request: {resp.status_code} {resp.text[:200]}")
                 last_error = GenerationError(f"backend error {resp.status_code}")
             if attempt < MAX_ATTEMPTS:
-                time.sleep(delay)
+                time.sleep(pause)
                 delay *= 2
         raise GenerationError(f"backend unreachable after {MAX_ATTEMPTS} attempts: {last_error}")
 

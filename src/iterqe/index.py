@@ -42,8 +42,8 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self):
-        if self.k1 < 0:
-            raise ValueError("k1 must be non-negative")
+        if not 0 <= self.k1 < math.inf:  # NaN fails every comparison
+            raise ValueError("k1 must be finite and non-negative")
         if not 0 <= self.b <= 1:
             raise ValueError("b must lie in [0, 1]")
 
@@ -194,20 +194,49 @@ class PostingIndex:
         missing = sorted(_ARRAYS - set(arrays))
         if missing:
             raise ValueError(f"{path}: index file lacks {', '.join(missing)}")
-        k1, b = arrays["params"].tolist()
+        terms = _decode_strings(arrays["term_bytes"], arrays["term_offsets"])
+        doc_ids = _decode_strings(arrays["doc_id_bytes"], arrays["doc_id_offsets"])
+        try:
+            _check_postings(arrays, len(terms), len(doc_ids))
+            k1, b = arrays["params"].tolist()
+            params = Bm25Params(k1=k1, b=b)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         index = cls(
-            terms=_decode_strings(arrays["term_bytes"], arrays["term_offsets"]),
+            terms=terms,
             offsets=arrays["offsets"],
             doc_ordinals=arrays["doc_ordinals"],
             tfs=arrays["tfs"],
             doc_lengths=arrays["doc_lengths"],
-            doc_ids=_decode_strings(arrays["doc_id_bytes"], arrays["doc_id_offsets"]),
-            params=Bm25Params(k1=k1, b=b),
+            doc_ids=doc_ids,
+            params=params,
         )
         # a loaded index is there to be searched: pay for these while loading,
         # not in the first query
         index.doc_id_ranks, index.impacts  # noqa: B018
         return index
+
+
+def _check_postings(arrays: dict[str, np.ndarray], term_count: int, doc_count: int) -> None:
+    """Raise ValueError unless the CSR arrays of an index file fit together.
+
+    Loading and searching index with them unchecked, so a file whose arrays
+    disagree would otherwise end in a bare IndexError or broadcast error.
+    """
+    offsets, ordinals = arrays["offsets"], arrays["doc_ordinals"]
+    if doc_count < 1:
+        raise ValueError("the index holds no document")
+    if len(offsets) != term_count + 1:
+        raise ValueError(f"{len(offsets)} posting offsets for {term_count} terms")
+    if offsets[0] != 0 or offsets[-1] != len(ordinals) or np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError(f"the posting offsets do not rise from 0 to {len(ordinals)} postings")
+    if len(arrays["tfs"]) != len(ordinals):
+        raise ValueError(f"{len(arrays['tfs'])} term frequencies for {len(ordinals)} postings")
+    if len(arrays["doc_lengths"]) != doc_count:
+        raise ValueError(f"{len(arrays['doc_lengths'])} document lengths for {doc_count} "
+                         "documents")
+    if len(ordinals) and not 0 <= ordinals.min() <= ordinals.max() < doc_count:
+        raise ValueError(f"a posting names a document outside 0..{doc_count - 1}")
 
 
 def _encode_strings(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain, islice, repeat
@@ -39,8 +40,8 @@ class PipelineConfig:
             raise ValueError("rounds must be non-negative")
         if self.mode not in ("interaction", "parallel"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.lambda_ <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lambda_ < math.inf:  # NaN fails every comparison
+            raise ValueError("lambda must be finite and positive")
         for name in ("top_k_feedback", "prompt_doc_truncation", "samples_per_round",
                      "retrieval_depth"):
             if getattr(self, name) < 1:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -99,6 +100,15 @@ class TestIndexCommand:
         result = invoke(["index", "--corpus", str(corpus), "--out", str(out)])
         assert result.exit_code != 0
         assert f"{corpus}: not UTF-8 text" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k1", ["nan", "inf"])
+    def test_non_finite_k1_rejected(self, workspace, k1):
+        out = workspace / "i.gz"
+        result = invoke(["index", "--corpus", str(workspace / "corpus.jsonl"),
+                         "--out", str(out), "--k1", k1])
+        assert result.exit_code != 0
+        assert "k1 must be finite and non-negative" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
@@ -203,6 +213,10 @@ class TestRunCommand:
         ("--top-k", "0", "top_k_feedback"),
         ("--truncate", "0", "prompt_doc_truncation"),
         ("--workers", "0", "--workers"),
+        ("--lambda", "nan", "lambda must be finite and positive"),
+        ("--lambda", "inf", "lambda must be finite and positive"),
+        ("--temperature", "nan", "temperature must be finite and non-negative"),
+        ("--temperature", "inf", "temperature must be finite and non-negative"),
     ])
     def test_invalid_parameter_rejected_before_writing(self, workspace, flag, value, field):
         idx = build_index_file(workspace)
@@ -220,6 +234,21 @@ class TestRunCommand:
         result = invoke(run_args(workspace, idx, out, ["--config", str(cfg)]))
         assert result.exit_code != 0
         assert "top_k_feedback" in result.output
+        assert not out.exists()
+
+    # Python's json reads NaN and Infinity, which strict JSON has no words for
+    @pytest.mark.parametrize("text, message", [
+        ('{"lambda_": NaN}', "lambda must be finite and positive"),
+        ('{"temperature": Infinity}', "temperature must be finite and non-negative"),
+    ])
+    def test_non_finite_config_file_value_rejected(self, workspace, text, message):
+        idx = build_index_file(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(text)
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out, ["--config", str(cfg)]))
+        assert result.exit_code != 0
+        assert message in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ['{"rounds": 1', "[1, 2]", '{"top-k": 0, "bogus": 1}'])
@@ -376,6 +405,26 @@ class TestRunCommand:
         result = invoke(run_args(workspace, idx, out))
         assert result.exit_code != 0
         assert "not an index file" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("doc_ordinals", lambda a: a.astype(np.int64) + 5, "a posting names a document outside"),
+        ("offsets", lambda a: a[:-1], "posting offsets for"),
+        ("doc_lengths", lambda a: a[:-1], "document lengths for"),
+    ])
+    def test_index_whose_arrays_do_not_fit_rejected_before_writing(self, workspace, name,
+                                                                    change, message):
+        idx = build_index_file(workspace)
+        with np.load(idx) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        arrays[name] = change(arrays[name])
+        with open(idx, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out))
+        assert result.exit_code != 0
+        assert f"{idx}: " in result.output
+        assert message in result.output
         assert not out.exists()
 
     def test_out_dir_that_is_a_file_rejected(self, workspace):

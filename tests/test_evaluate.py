@@ -127,6 +127,21 @@ class TestEvaluateRun:
         strict = evaluate_run(run, qrels, binary_threshold=2)
         assert strict.per_query["q1"]["map"] == pytest.approx(0.5)
 
+    def test_ranks_by_score_not_by_line_order(self, tmp_path):
+        path = tmp_path / "run.txt"
+        # q1's lines are out of score order; q2's two scores tie
+        path.write_text("q1 Q0 dA 1 1.0 t\nq1 Q0 dB 2 2.0 t\n"
+                        "q2 Q0 dX 1 1.0 t\nq2 Q0 dY 2 1.0 t\n")
+        qrels_path = tmp_path / "qrels.txt"
+        qrels_path.write_text("q1 0 dB 1\nq2 0 dY 1\n")
+        result = evaluate_run(RunFile.read(str(path)), Qrels.read(str(qrels_path)))
+        ref_per_query, _ = reference_eval(str(path), str(qrels_path))
+        assert result.per_query["q1"]["map"] == ref_per_query["q1"]["map"] == 1.0
+        # a tie keeps the run's order: dX first, so dY's AP is 1/2
+        assert result.per_query["q2"]["map"] == 0.5
+        # the run itself keeps its file order
+        assert list(RunFile.read(str(path)).rankings["q1"]) == ["dA", "dB"]
+
     def test_reference_oracle_parity(self, tmp_path):
         rng = random.Random(7)
         for trial in range(10):
@@ -173,7 +188,7 @@ class TestFileIO:
         lines = path.read_text().splitlines()
         assert lines[0] == "q1 Q0 d2 1 3.500000 mytag"
         loaded = RunFile.read(str(path))
-        assert loaded.doc_ids("q1") == ["d2", "d1"]
+        assert list(loaded.rankings["q1"]) == ["d2", "d1"]
 
     def test_write_equals_per_line_format(self, tmp_path):
         # braces and percent signs in every free field, .6f rounding edges and

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import requests
 from hypothesis import example, given, strategies as st
@@ -18,6 +20,12 @@ from iterqe.expansion import (
 )
 
 BASE_MODEL = GenerationParams(thinking_mode="base_model")
+
+
+@pytest.mark.parametrize("temperature", [-0.1, math.nan, math.inf])
+def test_params_reject_temperature(temperature):
+    with pytest.raises(ValueError, match="temperature must be finite and non-negative"):
+        GenerationParams(temperature=temperature)
 
 GOLDEN_PROMPT = (
     'Given a question "q" and its possible answering passages '
@@ -156,10 +164,11 @@ class TestMockBackend:
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload or {}
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         return self._payload
@@ -231,6 +240,39 @@ class TestHttpBackend:
         with pytest.raises(GenerationError, match="unreachable"):
             backend.generate(PromptInputs("q", ()), 1)
         assert len(session.requests) == 3
+
+    def test_retries_on_rate_limit(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        backend, session = self.make(
+            [FakeResponse(429, text="slow down"), FakeResponse(200, chat_payload("a"))]
+        )
+        out = backend.generate(PromptInputs("q", ()), 1)
+        assert out[0].answer_text == "a"
+        assert len(session.requests) == 2
+        assert sleeps == [1.0]  # no Retry-After: the doubling back-off
+
+    @pytest.mark.parametrize("retry_after, pause", [("7", 7), (" 0 ", 0), ("soon", 1.0),
+                                                    ("Wed, 21 Oct 2015 07:28:00 GMT", 1.0)])
+    def test_rate_limit_waits_the_seconds_the_server_names(self, monkeypatch, retry_after,
+                                                          pause):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        backend, session = self.make([FakeResponse(429, headers={"Retry-After": retry_after}),
+                                      FakeResponse(503), FakeResponse(200, chat_payload("a"))])
+        backend.generate(PromptInputs("q", ()), 1)
+        assert len(session.requests) == 3
+        # the back-off doubles from 1 s whatever the server asked for
+        assert sleeps == [pause, 2.0]
+
+    def test_gives_up_on_rate_limit_after_max_attempts(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        backend, session = self.make([FakeResponse(429, headers={"Retry-After": "7"})] * 3)
+        with pytest.raises(GenerationError, match="after 3 attempts: backend error 429"):
+            backend.generate(PromptInputs("q", ()), 1)
+        assert len(session.requests) == 3
+        assert sleeps == [7, 7]
 
     def test_4xx_not_retried(self):
         backend, session = self.make([FakeResponse(400, text="bad request")])

@@ -26,6 +26,12 @@ def postings_of(index, term):
     return list(zip(index.doc_ordinals[lo:hi].tolist(), index.tfs[lo:hi].tolist()))
 
 
+@pytest.mark.parametrize("k1", [-0.1, math.nan, math.inf])
+def test_bm25_params_reject_k1(k1):
+    with pytest.raises(ValueError, match="k1 must be finite and non-negative"):
+        Bm25Params(k1=k1)
+
+
 class TestBuild:
     def test_posting_counts(self):
         index = build_index(make_corpus(["alpha", "beta", "alpha"]))
@@ -349,6 +355,48 @@ class TestPersistence:
                      version=np.array([3]))
         with pytest.raises(ValueError, match="unsupported index version"):
             PostingIndex.load(str(future))
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(lambda a: {"doc_ordinals": a["doc_ordinals"].astype(np.int64) + 5},
+                     "outside 0..3", id="ordinals-shifted-by-5"),
+        # the largest ordinal at the document count: one past the last document
+        pytest.param(lambda a: {"doc_ordinals": a["doc_ordinals"].astype(np.int64) + 1},
+                     "outside 0..3", id="ordinals-shifted-by-1"),
+        pytest.param(lambda a: {"doc_ordinals": a["doc_ordinals"].astype(np.int32) - 1},
+                     "outside 0..3", id="negative-ordinal"),
+        pytest.param(lambda a: {"offsets": a["offsets"][:-1]},
+                     "7 posting offsets for 7 terms", id="offsets-one-short"),
+        pytest.param(lambda a: {"offsets": a["offsets"].astype(np.int64) + 1},
+                     "do not rise from 0", id="offsets-not-from-0"),
+        pytest.param(lambda a: {"offsets": a["offsets"][[0, 2, 1, *range(3, 8)]]},
+                     "do not rise from 0", id="offsets-decreasing"),
+        pytest.param(lambda a: {"offsets": np.append(a["offsets"][:-1], a["offsets"][-1] + 1)},
+                     "do not rise from 0 to 9 postings", id="offsets-past-the-postings"),
+        pytest.param(lambda a: {"tfs": a["tfs"][:-1]},
+                     "8 term frequencies for 9 postings", id="tfs-one-short"),
+        pytest.param(lambda a: {"doc_lengths": a["doc_lengths"][:-1]},
+                     "3 document lengths for 4 documents", id="doc-lengths-one-short"),
+        pytest.param(lambda a: {"doc_id_bytes": a["doc_id_bytes"][:0],
+                                "doc_id_offsets": np.zeros(1, dtype=np.uint8),
+                                "doc_lengths": a["doc_lengths"][:0]},
+                     "holds no document", id="no-document"),
+        pytest.param(lambda a: {"params": np.array([math.nan, 0.4])},
+                     "k1 must be finite", id="k1-nan"),
+        pytest.param(lambda a: {"params": np.array([math.inf, 0.4])},
+                     "k1 must be finite", id="k1-inf"),
+    ])
+    def test_rejects_arrays_that_do_not_fit_together(self, tmp_path, change, message):
+        # 7 terms, 9 postings, 4 documents; the first two terms have 2 postings each
+        texts = ["columbia river", "river boat", "jacket store columbia", "wax paper"]
+        path = tmp_path / "index.npz"
+        build_index(make_corpus(texts)).save(str(path))
+        with np.load(path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **{**arrays, **change(arrays)})
+        with pytest.raises(ValueError, match=message) as info:
+            PostingIndex.load(str(path))
+        assert str(info.value).startswith(f"{path}: ")
 
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "the", "of"]

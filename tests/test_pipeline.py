@@ -26,6 +26,12 @@ def make_corpus(texts, prefix="d"):
     return Corpus([f"{prefix}{i}" for i in range(len(texts))], list(texts))
 
 
+@pytest.mark.parametrize("lambda_", [0.0, -1.0, math.nan, math.inf])
+def test_config_rejects_lambda(lambda_):
+    with pytest.raises(ValueError, match="lambda must be finite and positive"):
+        PipelineConfig(lambda_=lambda_)
+
+
 class TestRepetitionCount:
     def test_worked_example(self):
         q0 = "who is robert gray"
