@@ -21,12 +21,6 @@ from iterqe.expansion import (
 
 BASE_MODEL = GenerationParams(thinking_mode="base_model")
 
-
-@pytest.mark.parametrize("temperature", [-0.1, math.nan, math.inf])
-def test_params_reject_temperature(temperature):
-    with pytest.raises(ValueError, match="temperature must be finite and non-negative"):
-        GenerationParams(temperature=temperature)
-
 GOLDEN_PROMPT = (
     'Given a question "q" and its possible answering passages '
     "(most of these passages are wrong) enumerated as:\n"
@@ -161,6 +155,12 @@ class TestMockBackend:
         backend = MockBackend(mode="fixed_text", params=GenerationParams(thinking_mode="think"))
         out = backend.generate(PromptInputs("q", ("p",)), 2)
         assert all(r.thinking_trace for r in out)
+
+
+@pytest.mark.parametrize("temperature", [-0.1, math.nan, math.inf])
+def test_params_reject_temperature(temperature):
+    with pytest.raises(ValueError, match="temperature must be finite and non-negative"):
+        GenerationParams(temperature=temperature)
 
 
 class FakeResponse:
