@@ -151,8 +151,12 @@ MUTANTS = [
     Mutant("cli-queries-in-file-order", "cli.py",
            "return sorted(queries.items())", "return list(queries.items())"),
     Mutant("cli-no-filter-flag-ignored", "cli.py",
-           'cfg["filter_enabled"] = not kwargs.get("no_filter") and cfg["filter_enabled"]',
-           'cfg["filter_enabled"] = cfg["filter_enabled"]'),
+           '"--no-filter", "filter_enabled", flag_value=False',
+           '"--no-filter", "filter_enabled", flag_value=True'),
+    Mutant("cli-config-backend-unchecked", "cli.py",
+           'if cfg["backend"] not in BACKENDS:', "if False:"),
+    Mutant("cli-boundary-lets-oserror-through", "cli.py",
+           "except (ValueError, OSError) as exc:", "except ValueError as exc:"),
     Mutant("cli-run-name-separator-accepted", "cli.py",
            "if os.path.dirname(run_name):", "if False:"),
     Mutant("cli-corpus-checked-by-length", "cli.py",

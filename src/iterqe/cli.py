@@ -12,9 +12,8 @@ from dataclasses import asdict
 import click
 
 from . import expansion
-from .corpus import CorpusFormatError, ingest_corpus
-from .evaluate import (Qrels, RunFile, TrecFormatError, evaluate_run, is_run_field, run_lines,
-                       utf8_text)
+from .corpus import FORMATS, ingest_corpus
+from .evaluate import Qrels, RunFile, evaluate_run, is_run_field, run_lines, utf8_text
 from .expansion import ChatCompletionsBackend, GenerationParams, MockBackend
 from .index import Bm25Params, PostingIndex, build_index
 from .pipeline import PipelineConfig, run_pipeline
@@ -59,18 +58,29 @@ def _prompt_template_hash() -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@click.group()
+class _Commands(click.Group):
+    """The one error boundary: a ValueError or OSError is bad input, an ``Error:`` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 def main():
     """Iterative thinking-based query expansion over a BM25 index."""
 
 
 # an existing file; a directory is refused by click instead of raising on open
 INPUT_FILE = click.Path(exists=True, dir_okay=False)
+BACKENDS = ("mock", "http")
 
 
 @main.command("index")
 @click.option("--corpus", "corpus_path", required=True, type=INPUT_FILE)
-@click.option("--format", "fmt", type=click.Choice(["jsonl", "tsv"]), default="jsonl")
+@click.option("--format", "fmt", type=click.Choice(FORMATS), default="jsonl")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--k1", type=float, default=Bm25Params.k1, show_default=True)
 @click.option("--b", type=float, default=Bm25Params.b, show_default=True)
@@ -82,13 +92,9 @@ def cmd_index(corpus_path, fmt, out_path, k1, b, force):
     out_dir = os.path.dirname(os.path.abspath(out_path))
     if not os.path.isdir(out_dir):
         raise click.ClickException(f"output directory not found: {out_dir}")
-    try:
-        params = Bm25Params(k1=k1, b=b)
-        corpus = ingest_corpus(corpus_path, fmt)
-        index = build_index(corpus, params)
-        index.save(out_path)
-    except (CorpusFormatError, ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    params = Bm25Params(k1=k1, b=b)
+    index = build_index(ingest_corpus(corpus_path, fmt), params)
+    index.save(out_path)
     click.echo(
         f"indexed doc_count={index.doc_count} term_count={len(index.terms)} "
         f"avg_doc_length={index.avg_doc_length:.2f} -> {out_path}"
@@ -99,7 +105,7 @@ def _pipeline_options(fn):
     opts = [
         click.option("--config", "config_path", type=INPUT_FILE, default=None),
         click.option("--corpus", "corpus_path", required=True, type=INPUT_FILE),
-        click.option("--format", "fmt", type=click.Choice(["jsonl", "tsv"]), default="jsonl"),
+        click.option("--format", "fmt", type=click.Choice(FORMATS), default="jsonl"),
         click.option("--index", "index_path", required=True, type=INPUT_FILE),
         click.option("--queries", "queries_path", required=True, type=INPUT_FILE),
         click.option("--out-dir", required=True, type=click.Path(file_okay=False)),
@@ -109,16 +115,15 @@ def _pipeline_options(fn):
         click.option("--truncate", type=int, default=None),
         click.option("--lambda", "lambda_", type=float, default=None),
         click.option("--depth", type=int, default=None),
-        click.option("--no-accumulation", is_flag=True),
-        click.option("--no-filter", is_flag=True),
-        click.option("--backend", type=click.Choice(["mock", "http"]), default=None),
-        click.option("--mock-mode", type=click.Choice(["echo_terms", "fixed_text"]), default=None),
+        click.option("--backend", type=click.Choice(BACKENDS), default=None),
+        click.option("--mock-mode", type=click.Choice(MockBackend.MODES), default=None),
         click.option("--fixed-text", default=None),
         click.option("--seed", type=int, default=None),
         click.option("--base-url", default=None),
         click.option("--model", default=None),
         click.option("--key-env", default=None),
-        click.option("--thinking-mode", type=click.Choice(["think", "no_think_prefill", "base_model"]), default=None),
+        click.option("--thinking-mode", type=click.Choice(GenerationParams.THINKING_MODES),
+                     default=None),
         click.option("--temperature", type=float, default=None),
         click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True),
     ]
@@ -163,8 +168,9 @@ def _resolve_run_config(config_path, kwargs) -> dict:
     # a flag wins over the config file, the config file over the built-in default
     cfg = {key: file_cfg.get(key, default) if kwargs.get(key) is None else kwargs[key]
            for key, default in defaults.items()}
-    cfg["accumulation_enabled"] = not kwargs.get("no_accumulation") and cfg["accumulation_enabled"]
-    cfg["filter_enabled"] = not kwargs.get("no_filter") and cfg["filter_enabled"]
+    if cfg["backend"] not in BACKENDS:
+        raise click.ClickException(f"unknown backend {cfg['backend']!r}; "
+                                   f"the backends are {', '.join(BACKENDS)}")
     if cfg["backend"] == "http" and not cfg["base_url"]:
         raise click.ClickException("--base-url is required with the http backend")
     return cfg
@@ -172,28 +178,21 @@ def _resolve_run_config(config_path, kwargs) -> dict:
 
 def _build_run(cfg: dict):
     """Pipeline config and a backend holding the generation parameters; bad values fail here."""
-    try:
-        pipe_cfg = PipelineConfig(**{f: cfg[key] for key, f in PIPELINE_KEYS.items()})
-        params = GenerationParams(**{f: cfg[key] for key, f in GENERATION_KEYS.items()})
-        if cfg["backend"] == "mock":
-            backend = MockBackend(**{f: cfg[key] for key, f in MOCK_KEYS.items()},
-                                  params=params)
-        else:
-            api_key = os.environ.get(cfg["key_env"], "") if cfg["key_env"] else ""
-            backend = ChatCompletionsBackend(
-                base_url=cfg["base_url"], model=cfg["model"], api_key=api_key, params=params
-            )
-    except (TypeError, ValueError) as exc:
-        raise click.ClickException(f"invalid run configuration: {exc}")
+    pipe_cfg = PipelineConfig(**{f: cfg[key] for key, f in PIPELINE_KEYS.items()})
+    params = GenerationParams(**{f: cfg[key] for key, f in GENERATION_KEYS.items()})
+    if cfg["backend"] == "mock":
+        backend = MockBackend(**{f: cfg[key] for key, f in MOCK_KEYS.items()}, params=params)
+    else:
+        api_key = os.environ.get(cfg["key_env"], "") if cfg["key_env"] else ""
+        backend = ChatCompletionsBackend(
+            base_url=cfg["base_url"], model=cfg["model"], api_key=api_key, params=params
+        )
     return pipe_cfg, backend
 
 
 def _load_inputs(corpus_path, fmt, index_path, queries_path):
-    try:
-        corpus = ingest_corpus(corpus_path, fmt)
-        index = PostingIndex.load(index_path)
-    except (CorpusFormatError, ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    corpus = ingest_corpus(corpus_path, fmt)
+    index = PostingIndex.load(index_path)
     # the corpus must hold every passage the index names; the same order lets them share ordinals
     if corpus.doc_ids != index.doc_ids:
         raise click.ClickException(
@@ -252,7 +251,9 @@ def _execute_batch(corpus, index, queries, cfg, pipe_cfg, backend, out_dir, run_
 
 @main.command("run")
 @_pipeline_options
-@click.option("--mode", type=click.Choice(["interaction", "parallel"]), default=None)
+@click.option("--mode", type=click.Choice(PipelineConfig.MODES), default=None)
+@click.option("--no-accumulation", "accumulation_enabled", flag_value=False, default=None)
+@click.option("--no-filter", "filter_enabled", flag_value=False, default=None)
 @click.option("--run-name", default="iterqe")
 def cmd_run(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
             workers, run_name, **kwargs):
@@ -283,12 +284,8 @@ def cmd_run(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def cmd_eval(run_path, qrels_path, threshold, json_path):
     """Score a TREC run against qrels (mAP, nDCG@10, Recall@1000)."""
-    try:
-        run = RunFile.read(run_path)
-        qrels = Qrels.read(qrels_path)
-        result = evaluate_run(run, qrels, binary_threshold=threshold)
-    except (TrecFormatError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    result = evaluate_run(RunFile.read(run_path), Qrels.read(qrels_path),
+                          binary_threshold=threshold)
     metrics = list(result.means)
     click.echo(f"{'query':<12}" + "".join(f"{m:>14}" for m in metrics))
     for qid in sorted(result.per_query):
@@ -328,14 +325,9 @@ def cmd_ablate(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
         cfg = {**base_cfg, **ABLATION_CELLS[cell]}
         cell_runs.append((cell, cfg, *_build_run(cfg)))
     corpus, index, queries = _load_inputs(corpus_path, fmt, index_path, queries_path)
-    qrels = None
-    if qrels_path:
-        try:
-            qrels = Qrels.read(qrels_path)
-        except TrecFormatError as exc:
-            raise click.ClickException(str(exc))
-        if not set(qrels.judgments).intersection(qid for qid, _ in queries):
-            raise click.ClickException(f"{qrels_path} shares no query id with {queries_path}")
+    qrels = Qrels.read(qrels_path) if qrels_path else None
+    if qrels is not None and not set(qrels.judgments).intersection(qid for qid, _ in queries):
+        raise click.ClickException(f"{qrels_path} shares no query id with {queries_path}")
 
     summary = []
     for cell, cfg, pipe_cfg, backend in cell_runs:

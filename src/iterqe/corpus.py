@@ -9,6 +9,9 @@ import orjson
 from .evaluate import is_run_field, utf8_text
 
 
+FORMATS = ("jsonl", "tsv")
+
+
 class CorpusFormatError(ValueError):
     """Raised when a corpus file cannot be parsed."""
 
@@ -83,7 +86,7 @@ def _tsv_rows(lines):
 
 def ingest_corpus(path: str, fmt: str = "jsonl") -> Corpus:
     """Load a corpus file; jsonl rows need "id"/"contents", tsv rows are id<TAB>text."""
-    if fmt not in ("jsonl", "tsv"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r}")
     doc_ids: list[str] = []
     texts: list[str] = []

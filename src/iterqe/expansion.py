@@ -40,13 +40,14 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GenerationParams:
+    THINKING_MODES = ("think", "no_think_prefill")
     temperature: float = 0.7
-    thinking_mode: str = "think"  # think | no_think_prefill | base_model
+    thinking_mode: str = "think"
 
     def __post_init__(self):
         if not 0 <= self.temperature < math.inf:  # NaN fails every comparison
             raise ValueError("temperature must be finite and non-negative")
-        if self.thinking_mode not in ("think", "no_think_prefill", "base_model"):
+        if self.thinking_mode not in self.THINKING_MODES:
             raise ValueError(f"unknown thinking_mode {self.thinking_mode!r}")
 
 
@@ -207,10 +208,12 @@ class ChatCompletionsBackend(ExpansionBackend):
 class MockBackend(ExpansionBackend):
     """Deterministic offline backend for tests and reproducible runs."""
 
+    MODES = ("echo_terms", "fixed_text")
+
     def __init__(self, mode: str = "echo_terms", seed: int = 0,
                  fixed_text: str = "mock expansion",
                  params: GenerationParams = GenerationParams()):
-        if mode not in ("echo_terms", "fixed_text"):
+        if mode not in self.MODES:
             raise ValueError(f"unknown mock mode {mode!r}")
         self.mode = mode
         self.seed = seed

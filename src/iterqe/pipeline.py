@@ -25,12 +25,13 @@ _NEXT_HIT = ', {"doc_id": '
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    MODES = ("interaction", "parallel")
     rounds: int = 3
     top_k_feedback: int = 5
     prompt_doc_truncation: int = 128
     samples_per_round: int = 2
     lambda_: float = 3.0
-    mode: str = "interaction"  # interaction | parallel
+    mode: str = "interaction"
     accumulation_enabled: bool = True
     filter_enabled: bool = True
     retrieval_depth: int = 1000
@@ -38,7 +39,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError("rounds must be non-negative")
-        if self.mode not in ("interaction", "parallel"):
+        if self.mode not in self.MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 < self.lambda_ < math.inf:  # NaN fails every comparison
             raise ValueError("lambda must be finite and positive")

@@ -51,6 +51,13 @@ def invoke(args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
+def assert_error_line(result, message):
+    """Bad input ends in an ``Error:`` line and exit status 1, not a traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {message}" in result.output
+
+
 def build_index_file(workspace):
     idx = workspace / "index.gz"
     result = invoke(["index", "--corpus", str(workspace / "corpus.jsonl"),
@@ -437,6 +444,54 @@ class TestRunCommand:
         assert out.read_bytes() == before
         assert not (workspace / "iterqe.run.txt").exists()
 
+    def test_out_dir_under_a_file_rejected(self, workspace):
+        idx = build_index_file(workspace)
+        corpus = workspace / "corpus.jsonl"
+        before = corpus.read_bytes()
+        result = invoke(run_args(workspace, idx, corpus / "sub"))
+        assert_error_line(result, "[Errno 20] Not a directory")
+        assert corpus.read_bytes() == before
+
+    @pytest.mark.parametrize("backend", ["Mock", "HTTP", ""])
+    def test_unknown_backend_in_config_file_rejected_before_writing(self, workspace, backend):
+        idx = build_index_file(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"backend": backend}))
+        out = workspace / "out_bad"
+        args = run_args(workspace, idx, out, ["--config", str(cfg)])
+        args.remove("--backend")
+        args.remove("mock")
+        result = invoke(args)
+        assert_error_line(result, f"unknown backend {backend!r}; the backends are mock, http")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_base_model_thinking_mode_rejected_before_writing(self, workspace, source):
+        idx = build_index_file(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"thinking_mode": "base_model"}))
+        out = workspace / "out_bad"
+        extra = (["--thinking-mode", "base_model"] if source == "flag"
+                 else ["--config", str(cfg)])
+        result = invoke(run_args(workspace, idx, out, extra))
+        assert result.exit_code != 0
+        assert ("Invalid value for '--thinking-mode'" if source == "flag"
+                else "unknown thinking_mode 'base_model'") in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("file_value", [True, False])
+    def test_no_filter_flag_wins_over_the_config_file(self, workspace, file_value):
+        idx = build_index_file(workspace)
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"filter_enabled": file_value, "rounds": 1}))
+        for flags, expected in [([], file_value), (["--no-filter"], False)]:
+            out = workspace / f"out_{len(flags)}"
+            result = invoke(run_args(workspace, idx, out, ["--config", str(cfg), *flags]))
+            assert result.exit_code == 0, result.output
+            meta = json.loads((out / "iterqe.metadata.json").read_text())
+            assert meta["config"]["filter_enabled"] is expected
+            assert meta["config"]["pipeline"]["filter_enabled"] is expected
+
     def test_malformed_corpus(self, workspace):
         idx = build_index_file(workspace)
         (workspace / "corpus.jsonl").write_text('{"id": "a", "contents": "x"}\nnot json\n')
@@ -493,6 +548,14 @@ class TestEvalCommand:
         assert "is a directory" in result.output
         # rejected before the metric table is printed
         assert "mean" not in result.output and "q1" not in result.output
+
+    def test_json_output_in_a_missing_directory_rejected(self, workspace):
+        run = workspace / "r.run"
+        run.write_text("q1 Q0 target 1 3.0 t\n")
+        out_json = workspace / "missing" / "metrics.json"
+        result = invoke(["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt"),
+                         "--json", str(out_json)])
+        assert_error_line(result, f"[Errno 2] No such file or directory: '{out_json}'")
 
 
 class TestAblateCommand:
@@ -629,6 +692,22 @@ class TestAblateCommand:
                          "--out-dir", str(out)])
         assert result.exit_code != 0
         assert "line 10: document id 'x 3' contains whitespace" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--no-filter", "--no-accumulation"])
+    def test_flag_that_every_cell_overrides_rejected(self, workspace, flag):
+        # each cell sets accumulation_enabled and filter_enabled itself
+        assert flag not in invoke(["ablate", "--help"]).output
+        idx = build_index_file(workspace)
+        out = workspace / "ablate_bad"
+        result = invoke(["ablate",
+                         "--corpus", str(workspace / "corpus.jsonl"),
+                         "--index", str(idx),
+                         "--queries", str(workspace / "queries.tsv"),
+                         "--out-dir", str(out),
+                         "--cells", "full", flag])
+        assert result.exit_code != 0
+        assert f"No such option '{flag}'" in result.output
         assert not out.exists()
 
     def test_unknown_cell(self, workspace):

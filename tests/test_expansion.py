@@ -19,7 +19,7 @@ from iterqe.expansion import (
     strip_thinking,
 )
 
-BASE_MODEL = GenerationParams(thinking_mode="base_model")
+NO_THINK = GenerationParams(thinking_mode="no_think_prefill")
 
 GOLDEN_PROMPT = (
     'Given a question "q" and its possible answering passages '
@@ -101,26 +101,26 @@ class TestStripThinking:
 
 class TestMockBackend:
     def test_fixed_text(self):
-        responses = MockBackend(mode="fixed_text", fixed_text="hello", params=BASE_MODEL).generate(
+        responses = MockBackend(mode="fixed_text", fixed_text="hello", params=NO_THINK).generate(
             PromptInputs("q", ("p",)), 2
         )
         assert all(r.answer_text == "hello" for r in responses)
 
     def test_deterministic(self):
         inputs = PromptInputs("grays harbor", ("grays bay water", "bay tide"))
-        a = MockBackend(seed=7, params=BASE_MODEL).generate(inputs, 2)
-        b = MockBackend(seed=7, params=BASE_MODEL).generate(inputs, 2)
+        a = MockBackend(seed=7, params=NO_THINK).generate(inputs, 2)
+        b = MockBackend(seed=7, params=NO_THINK).generate(inputs, 2)
         assert a == b
 
     def test_echo_most_frequent_term(self):
-        responses = MockBackend(mode="echo_terms", params=BASE_MODEL).generate(
+        responses = MockBackend(mode="echo_terms", params=NO_THINK).generate(
             PromptInputs("q", ("alpha beta alpha",)), 2
         )
         assert "alpha" in responses[0].answer_text
 
     def test_echo_contains_passage_terms(self):
         inputs = PromptInputs("q", ("grays bay exploration", "grays bay tide"))
-        responses = MockBackend(params=BASE_MODEL).generate(inputs, 2)
+        responses = MockBackend(params=NO_THINK).generate(inputs, 2)
         assert "grays" in responses[0].answer_text
         assert "bay" in responses[0].answer_text
 
@@ -140,7 +140,7 @@ class TestMockBackend:
     @example(passages=[" ".join(f"w{i}" for i in range(20))], seed=1, query="q")  # ties cut at 8
     @example(passages=["ab", "cd"], seed=2, query="q")  # a passage boundary splits tokens
     def test_echo_matches_reference(self, passages, seed, query):
-        answer = MockBackend(seed=seed, params=BASE_MODEL).generate(
+        answer = MockBackend(seed=seed, params=NO_THINK).generate(
             PromptInputs(query, tuple(passages)), 2)
         expected = reference_echo_answer(query, passages, seed, MOCK_ECHO_TERMS)
         assert [r.answer_text for r in answer] == [expected] * 2
@@ -155,6 +155,12 @@ class TestMockBackend:
         backend = MockBackend(mode="fixed_text", params=GenerationParams(thinking_mode="think"))
         out = backend.generate(PromptInputs("q", ("p",)), 2)
         assert all(r.thinking_trace for r in out)
+
+
+@pytest.mark.parametrize("mode", ["base_model", "Think", ""])
+def test_params_reject_an_unknown_thinking_mode(mode):
+    with pytest.raises(ValueError, match="unknown thinking_mode"):
+        GenerationParams(thinking_mode=mode)
 
 
 @pytest.mark.parametrize("temperature", [-0.1, math.nan, math.inf])
