@@ -93,6 +93,8 @@ MUTANTS = [
            "np.any(offsets[1:] < offsets[:-1])", "False"),
     Mutant("index-doc-lengths-count-unchecked", "index.py",
            'if len(arrays["doc_lengths"]) != doc_count:', "if False:"),
+    Mutant("index-posting-repeat-accepted", "index.py",
+           "if not rises.all():", "if False:"),
     # evaluate
     Mutant("evaluate-recall-cut-at-k-minus-1", "evaluate.py",
            "return len(relevant & set(ranking[:k])) / len(relevant)",
@@ -131,6 +133,8 @@ MUTANTS = [
            "if resp.status_code == 429:", "if resp.status_code == 0:"),
     Mutant("expansion-retry-after-ignored", "expansion.py",
            "pause = int(seconds)", "pause = delay"),
+    Mutant("expansion-reply-content-type-unchecked", "expansion.py",
+           'isinstance(m.get("content"), (str, type(None)))', "True"),
     # pipeline
     Mutant("pipeline-retrieval-depth-1000", "pipeline.py",
            "search_topk(index, rendered, config.retrieval_depth)",
@@ -147,6 +151,8 @@ MUTANTS = [
            "rounds=1, samples_per_round=config.samples_per_round"),
     Mutant("pipeline-no-accumulation", "pipeline.py",
            "expansions = state.expansions + [segment]", "expansions = [segment]"),
+    Mutant("pipeline-degenerate-samples-not-logged", "pipeline.py",
+           "if degenerate:", "if False:"),
     # cli
     Mutant("cli-queries-in-file-order", "cli.py",
            "return sorted(queries.items())", "return list(queries.items())"),

@@ -130,7 +130,8 @@ class ChatCompletionsBackend(ExpansionBackend):
     def describe(self) -> dict:
         return {"backend": "chat_completions", "base_url": self.base_url, "model": self.model}
 
-    def _post(self, body: dict) -> dict:
+    def _post(self, body: dict) -> list[dict]:
+        """The message of each choice of the endpoint's reply to ``body``."""
         url = f"{self.base_url}/chat/completions"
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -146,10 +147,10 @@ class ChatCompletionsBackend(ExpansionBackend):
             else:
                 if resp.status_code == 200:
                     try:
-                        return resp.json()
-                    except ValueError:
+                        return _choice_messages(resp.json())
+                    except ValueError as exc:
                         raise GenerationError(
-                            f"backend returned a non-JSON response: "
+                            f"backend returned a non-JSON or malformed response ({exc}): "
                             f"{resp.status_code} {resp.text[:200]}"
                         ) from None
                 if resp.status_code == 429:
@@ -178,13 +179,11 @@ class ChatCompletionsBackend(ExpansionBackend):
             "n": num_samples,
             "max_tokens": MAX_OUTPUT_TOKENS,
         }
-        payload = self._post(body)
         responses = []
-        for choice in payload.get("choices", []):
-            message = choice["message"]
+        for message in self._post(body):
             # reasoning servers may send a null content, and the thinking in a
             # field of its own
-            raw = message["content"] or ""
+            raw = message.get("content") or ""
             if prefilled:
                 # continuation after the prefill carries no thinking of its own
                 raw = raw.removeprefix(NO_THINK_PREFILL)
@@ -203,6 +202,23 @@ class ChatCompletionsBackend(ExpansionBackend):
             raise GenerationError("all samples produced empty answers")
         self.generation_calls += num_samples
         return responses
+
+
+def _choice_messages(payload) -> list[dict]:
+    """The message of each choice of a chat-completions reply.
+
+    Raises ValueError unless ``"choices"`` is a list of objects, each with a
+    ``"message"`` object whose ``"content"`` is a string, null or absent.
+    """
+    choices = payload.get("choices") if isinstance(payload, dict) else None
+    if not isinstance(choices, list):
+        raise ValueError("the reply has no list of choices")
+    messages = [choice.get("message") if isinstance(choice, dict) else None
+                for choice in choices]
+    if not all(isinstance(m, dict) and isinstance(m.get("content"), (str, type(None)))
+               for m in messages):
+        raise ValueError("a choice has no message with a text content")
+    return messages
 
 
 class MockBackend(ExpansionBackend):

@@ -237,6 +237,14 @@ def _check_postings(arrays: dict[str, np.ndarray], term_count: int, doc_count: i
                          "documents")
     if len(ordinals) and not 0 <= ordinals.min() <= ordinals.max() < doc_count:
         raise ValueError(f"a posting names a document outside 0..{doc_count - 1}")
+    # a search adds a term's impact to a document once, however often its list
+    # names it; build_index writes each list's ordinals rising strictly, which
+    # one pass checks, so only a list's first ordinal may fall
+    rises = ordinals[1:] > ordinals[:-1]
+    starts = offsets[1:-1]
+    rises[starts[(starts > 0) & (starts < len(ordinals))] - 1] = True
+    if not rises.all():
+        raise ValueError("a posting list names a document twice or out of order")
 
 
 def _encode_strings(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -189,6 +189,12 @@ def run_round(
     # the generator always sees the original query, never the rendered one
     inputs = PromptInputs(query=state.q0, passages=passages)
     responses = backend.generate(inputs, config.samples_per_round)
+    # a sample that ends inside <think> has no answer and adds no words; the
+    # warning is the first sign that the trace ran into the token cap
+    degenerate = sum(r.degenerate for r in responses)
+    if degenerate:
+        log.warning("round %d: %d of %d samples ended inside <think> and add no words",
+                    state.round, degenerate, len(responses))
     segment = " ".join(r.answer_text for r in responses)
     if config.accumulation_enabled:
         expansions = state.expansions + [segment]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -314,6 +315,25 @@ class TestHttpBackend:
             backend.generate(PromptInputs("q", ()), 1)
         assert "200 <html><body>502 Bad Gateway" in str(info.value)
         assert len(session.requests) == 1
+
+    # JSON that is not a chat-completions reply: no retry, and the message quotes it
+    @pytest.mark.parametrize("payload", [
+        pytest.param({"choices": [{"text": "a completions-style choice"}]}, id="no-message"),
+        pytest.param([1, 2], id="a-list"),
+        pytest.param({"choices": [{"message": {"content": [{"type": "text", "text": "a"}]}}]},
+                     id="content-parts"),
+        pytest.param({"choices": None}, id="null-choices"),
+        pytest.param({"choices": ["a"]}, id="string-choice"),
+        pytest.param({"error": "no choices"}, id="no-choices"),
+    ])
+    def test_malformed_json_200_is_error(self, payload):
+        text = json.dumps(payload)
+        backend, session = self.make([FakeResponse(200, payload, text=text)])
+        with pytest.raises(GenerationError, match="malformed") as info:
+            backend.generate(PromptInputs("q", ()), 1)
+        assert f"200 {text[:200]}" in str(info.value)
+        assert len(session.requests) == 1
+        assert backend.generation_calls == 0
 
     def test_null_content_with_reasoning_field(self):
         payload = {"choices": [

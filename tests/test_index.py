@@ -398,6 +398,28 @@ class TestPersistence:
             PostingIndex.load(str(path))
         assert str(info.value).startswith(f"{path}: ")
 
+    # terms wax, candl, paper, boat with postings [0 2], [0], [1 2], [1]: a list's
+    # ordinals rise strictly, and fall only where the next list starts
+    @pytest.mark.parametrize("ordinals", [
+        pytest.param([0, 0, 0, 1, 2, 1], id="wax-names-d0-twice"),
+        pytest.param([2, 0, 0, 1, 2, 1], id="wax-falls"),
+        pytest.param([0, 2, 0, 2, 1, 1], id="paper-falls"),
+    ])
+    def test_rejects_a_posting_list_that_does_not_rise(self, tmp_path, ordinals):
+        path = tmp_path / "index.npz"
+        index = build_index(make_corpus(["wax candle wax", "paper boat", "wax paper"]))
+        index.save(str(path))
+        assert PostingIndex.load(str(path)).doc_ordinals.tolist() == [0, 2, 0, 1, 2, 1]
+        with np.load(path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays["doc_ordinals"] = np.array(ordinals, dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        with pytest.raises(ValueError, match="a posting list names a document twice or "
+                                             "out of order") as info:
+            PostingIndex.load(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "the", "of"]
 

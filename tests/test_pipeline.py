@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iterqe.corpus import Corpus
-from iterqe.expansion import MockBackend
+from iterqe.expansion import ExpansionResponse, MockBackend, strip_thinking
 from iterqe.index import Ranking, build_index, search_topk
 from iterqe.pipeline import (
     PipelineConfig,
@@ -197,6 +198,39 @@ class TestRunRound:
         run_round(QueryState("zork flim"), corpus, index, backend, config)
         for passage in backend.last_inputs.passages:
             assert len(passage.split()) <= 2
+
+
+class TestDegenerateSamples:
+    """A sample that ends inside <think> adds no words, and each round that has
+    any is logged once, with its count."""
+
+    class CappedBackend(MockBackend):
+        # two of every three samples hit the token cap inside their thinking
+        def generate(self, inputs, num_samples):
+            self.generation_calls += num_samples
+            return [strip_thinking("<think>ran out of tokens"),
+                    ExpansionResponse("", "E"),
+                    strip_thinking("<think>also")][:num_samples]
+
+    def warnings(self, caplog):
+        return [r.getMessage() for r in caplog.records
+                if r.name == "iterqe.pipeline" and "<think>" in r.getMessage()]
+
+    def test_one_warning_per_round_with_the_count(self, caplog):
+        corpus, index = feedback_setup()
+        config = PipelineConfig(rounds=2, samples_per_round=3)
+        with caplog.at_level(logging.WARNING, logger="iterqe.pipeline"):
+            _, trace = run_pipeline("zork flim", corpus, index, self.CappedBackend(), config)
+        assert [r.expansion_segment for r in trace[:-1]] == [" E ", " E "]
+        assert self.warnings(caplog) == [
+            f"round {n}: 2 of 3 samples ended inside <think> and add no words" for n in (0, 1)]
+
+    def test_no_warning_without_degenerate_samples(self, caplog):
+        corpus, index = feedback_setup()
+        config = PipelineConfig(rounds=2, samples_per_round=1)
+        with caplog.at_level(logging.WARNING, logger="iterqe.pipeline"):
+            run_pipeline("zork flim", corpus, index, MockBackend(), config)
+        assert self.warnings(caplog) == []
 
 
 class TestRunPipeline:
