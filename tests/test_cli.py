@@ -55,7 +55,8 @@ def assert_error_line(result, message):
     """Bad input ends in an ``Error:`` line and exit status 1, not a traceback."""
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"Error: {message}" in result.output
+    assert "Error: " in result.output
+    assert message in result.output
 
 
 def build_index_file(workspace):
@@ -449,7 +450,7 @@ class TestRunCommand:
         corpus = workspace / "corpus.jsonl"
         before = corpus.read_bytes()
         result = invoke(run_args(workspace, idx, corpus / "sub"))
-        assert_error_line(result, "[Errno 20] Not a directory")
+        assert_error_line(result, f"Not a directory: '{corpus / 'sub'}'")
         assert corpus.read_bytes() == before
 
     @pytest.mark.parametrize("backend", ["Mock", "HTTP", ""])
@@ -555,7 +556,7 @@ class TestEvalCommand:
         out_json = workspace / "missing" / "metrics.json"
         result = invoke(["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt"),
                          "--json", str(out_json)])
-        assert_error_line(result, f"[Errno 2] No such file or directory: '{out_json}'")
+        assert_error_line(result, f"No such file or directory: '{out_json}'")
 
 
 class TestAblateCommand:
