@@ -132,7 +132,15 @@ MUTANTS = [
     Mutant("expansion-429-not-retried", "expansion.py",
            "if resp.status_code == 429:", "if resp.status_code == 0:"),
     Mutant("expansion-retry-after-ignored", "expansion.py",
-           "pause = int(seconds)", "pause = delay"),
+           "return int(value)", "return None"),
+    Mutant("expansion-retry-after-date-ignored", "expansion.py",
+           "when = email.utils.parsedate_to_datetime(value)",
+           'when = email.utils.parsedate_to_datetime("")'),
+    Mutant("expansion-retry-after-past-date-negative", "expansion.py",
+           "return max(0.0, when.timestamp() - time.time())",
+           "return when.timestamp() - time.time()"),
+    Mutant("expansion-back-off-without-jitter", "expansion.py",
+           "random.uniform(delay / 2, delay)", "delay"),
     Mutant("expansion-reply-content-type-unchecked", "expansion.py",
            'isinstance(m.get("content"), (str, type(None)))', "True"),
     # pipeline
@@ -153,6 +161,9 @@ MUTANTS = [
            "expansions = state.expansions + [segment]", "expansions = [segment]"),
     Mutant("pipeline-degenerate-samples-not-logged", "pipeline.py",
            "if degenerate:", "if False:"),
+    Mutant("pipeline-empty-answers-joined", "pipeline.py",
+           'segment = " ".join(r.answer_text for r in responses if r.answer_text)',
+           'segment = " ".join(r.answer_text for r in responses)'),
     # cli
     Mutant("cli-queries-in-file-order", "cli.py",
            "return sorted(queries.items())", "return list(queries.items())"),
@@ -165,6 +176,10 @@ MUTANTS = [
            "except (ValueError, OSError) as exc:", "except ValueError as exc:"),
     Mutant("cli-run-name-separator-accepted", "cli.py",
            "if os.path.dirname(run_name):", "if False:"),
+    Mutant("cli-sample-count-of-the-last-record", "cli.py",
+           "samples += len(record.thinking_traces)", "samples = len(record.thinking_traces)"),
+    Mutant("cli-eval-table-before-json", "cli.py",
+           "if json_path:", 'if click.echo("mean") or json_path:'),
     Mutant("cli-corpus-checked-by-length", "cli.py",
            "if corpus.doc_ids != index.doc_ids:",
            "if len(corpus.doc_ids) != len(index.doc_ids):"),

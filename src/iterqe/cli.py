@@ -13,7 +13,8 @@ import click
 
 from . import expansion
 from .corpus import FORMATS, ingest_corpus
-from .evaluate import Qrels, RunFile, evaluate_run, is_run_field, run_lines, utf8_text
+from .evaluate import (RELEVANCE_THRESHOLD, Qrels, RunFile, evaluate_run, is_run_field,
+                       run_lines, utf8_text)
 from .expansion import ChatCompletionsBackend, GenerationParams, MockBackend
 from .index import Bm25Params, PostingIndex, build_index
 from .pipeline import PipelineConfig, run_pipeline
@@ -146,11 +147,10 @@ MOCK_KEYS = {"mock_mode": "mode", "fixed_text": "fixed_text", "seed": "seed"}
 
 def _resolve_run_config(config_path, kwargs) -> dict:
     file_cfg = _load_config_file(config_path)
-    mock = MockBackend()
     defaults = {
         **{key: getattr(PipelineConfig, f) for key, f in PIPELINE_KEYS.items()},
         **{key: getattr(GenerationParams, f) for key, f in GENERATION_KEYS.items()},
-        **{key: getattr(mock, f) for key, f in MOCK_KEYS.items()},
+        **{key: getattr(MockBackend, f) for key, f in MOCK_KEYS.items()},
         "backend": "mock", "base_url": "", "model": "", "key_env": "ITERQE_API_KEY",
     }
     unknown = [key for key in file_cfg if key not in defaults]
@@ -210,7 +210,9 @@ def _execute_batch(corpus, index, queries, cfg, pipe_cfg, backend, out_dir, run_
 
     Queries run in the given order, qid order from ``_read_queries``. Each
     query's run and trace lines are written as soon as its result arrives,
-    so a failed query leaves the queries before it in both files.
+    so a failed query leaves the queries before it in both files. The
+    metadata's sample count is the number of thinking traces written, one a
+    sample, summed on this thread.
     """
     os.makedirs(out_dir, exist_ok=True)
 
@@ -223,24 +225,27 @@ def _execute_batch(corpus, index, queries, cfg, pipe_cfg, backend, out_dir, run_
     with open(run_path, "w", encoding="utf-8") as rf, \
             open(trace_path, "w", encoding="utf-8") as tf:
 
-        def write(results):
+        def write(results) -> int:
+            samples = 0
             for (qid, _), (final, trace) in zip(queries, results):
                 rf.write(run_lines(qid, final.doc_ids(), final.scores.tolist(), run_name))
                 for record in trace:
                     tf.write(record.trace_line(qid) + "\n")
+                    samples += len(record.thinking_traces)
+            return samples
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                write(pool.map(one, queries))
+                samples = write(pool.map(one, queries))
         else:
-            write(map(one, queries))
+            samples = write(map(one, queries))
 
     metadata = {
         "run_name": run_name,
         "config": {**cfg, "pipeline": asdict(pipe_cfg)},
         "prompt_template_sha256": _prompt_template_hash(),
         "backend": backend.describe(),
-        "generation_calls": backend.generation_calls,
+        "generation_calls": samples,
         "query_count": len(queries),
     }
     meta_path = os.path.join(out_dir, f"{run_name}.metadata.json")
@@ -279,22 +284,23 @@ def cmd_run(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
 @main.command("eval")
 @click.option("--run", "run_path", required=True, type=INPUT_FILE)
 @click.option("--qrels", "qrels_path", required=True, type=INPUT_FILE)
-@click.option("--threshold", type=int, default=1, show_default=True,
+@click.option("--threshold", type=int, default=RELEVANCE_THRESHOLD, show_default=True,
               help="Minimum grade counted as relevant for mAP/recall.")
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def cmd_eval(run_path, qrels_path, threshold, json_path):
     """Score a TREC run against qrels (mAP, nDCG@10, Recall@1000)."""
     result = evaluate_run(RunFile.read(run_path), Qrels.read(qrels_path),
                           binary_threshold=threshold)
+    # the JSON first: a --json that cannot be written prints no table before its error
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump({"per_query": result.per_query, "means": result.means}, fh, indent=2)
     metrics = list(result.means)
     click.echo(f"{'query':<12}" + "".join(f"{m:>14}" for m in metrics))
     for qid in sorted(result.per_query):
         row = result.per_query[qid]
         click.echo(f"{qid:<12}" + "".join(f"{row[m]:>14.4f}" for m in metrics))
     click.echo(f"{'mean':<12}" + "".join(f"{result.means[m]:>14.4f}" for m in metrics))
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump({"per_query": result.per_query, "means": result.means}, fh, indent=2)
 
 
 ABLATION_CELLS = {
@@ -308,7 +314,7 @@ ABLATION_CELLS = {
 @main.command("ablate")
 @_pipeline_options
 @click.option("--qrels", "qrels_path", type=INPUT_FILE, default=None)
-@click.option("--cells", default="full,accum_only,filter_only,parallel",
+@click.option("--cells", default=",".join(ABLATION_CELLS),
               show_default=True, help="Comma-separated ablation cells to execute.")
 def cmd_ablate(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
                workers, qrels_path, cells, **kwargs):

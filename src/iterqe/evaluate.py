@@ -9,6 +9,7 @@ from itertools import chain, count, repeat
 
 NDCG_K = 10
 RECALL_K = 1000
+RELEVANCE_THRESHOLD = 1  # the least grade counted relevant for mAP and recall
 # qid, doc id, rank, score, tag; the ids and the tag are arguments, never part
 # of the template, because they may contain a %
 RUN_LINE = "%s Q0 %s %d %.6f %s\n"
@@ -156,7 +157,8 @@ class EvalResult:
     means: dict[str, float]
 
 
-def evaluate_run(run: RunFile, qrels: Qrels, binary_threshold: int = 1) -> EvalResult:
+def evaluate_run(run: RunFile, qrels: Qrels,
+                 binary_threshold: int = RELEVANCE_THRESHOLD) -> EvalResult:
     """Per-query and mean mAP / nDCG@10 / Recall@1000 over the qrels query set.
 
     Each query's documents are ranked by score, descending, as trec_eval ranks

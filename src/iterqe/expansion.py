@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import email.utils
 import logging
 import math
 import random
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from datetime import timezone
 from operator import itemgetter
 
 import requests
@@ -103,9 +105,10 @@ def strip_thinking(raw: str) -> ExpansionResponse:
 
 
 class ExpansionBackend:
-    """Interface of both backends: built with the run's GenerationParams; counts samples."""
+    """Interface of both backends: a configuration, with the run's GenerationParams.
 
-    generation_calls: int = 0
+    ``generate`` writes no attribute: the run counts its samples from the trace.
+    """
 
     def generate(self, inputs: PromptInputs, num_samples: int) -> list[ExpansionResponse]:
         raise NotImplementedError
@@ -125,7 +128,6 @@ class ChatCompletionsBackend(ExpansionBackend):
         self.api_key = api_key
         self.session = session or requests.Session()
         self.params = params
-        self.generation_calls = 0
 
     def describe(self) -> dict:
         return {"backend": "chat_completions", "base_url": self.base_url, "model": self.model}
@@ -139,7 +141,7 @@ class ChatCompletionsBackend(ExpansionBackend):
         delay = 1.0
         last_error: Exception | None = None
         for attempt in range(1, MAX_ATTEMPTS + 1):
-            pause = delay
+            named_wait = None
             try:
                 resp = self.session.post(url, json=body, headers=headers, timeout=REQUEST_TIMEOUT_S)
             except requests.RequestException as exc:
@@ -154,16 +156,15 @@ class ChatCompletionsBackend(ExpansionBackend):
                             f"{resp.status_code} {resp.text[:200]}"
                         ) from None
                 if resp.status_code == 429:
-                    # rate limited: retried, after the seconds the server names if it
-                    # names them (RFC 9110 10.2.3; the HTTP-date form is not read)
-                    seconds = resp.headers.get("Retry-After", "").strip()
-                    if seconds.isascii() and seconds.isdigit():
-                        pause = int(seconds)
+                    # rate limited: retried, after the wait the server names if it names one
+                    named_wait = _retry_after(resp.headers.get("Retry-After", ""))
                 elif 400 <= resp.status_code < 500:
                     raise GenerationError(f"backend rejected request: {resp.status_code} {resp.text[:200]}")
                 last_error = GenerationError(f"backend error {resp.status_code}")
             if attempt < MAX_ATTEMPTS:
-                time.sleep(pause)
+                # "equal jitter" on the back-off, so that clients that failed together
+                # do not retry together; a wait the server names is kept as given
+                time.sleep(random.uniform(delay / 2, delay) if named_wait is None else named_wait)
                 delay *= 2
         raise GenerationError(f"backend unreachable after {MAX_ATTEMPTS} attempts: {last_error}")
 
@@ -200,8 +201,25 @@ class ChatCompletionsBackend(ExpansionBackend):
             )
         if all(not r.answer_text for r in responses):
             raise GenerationError("all samples produced empty answers")
-        self.generation_calls += num_samples
         return responses
+
+
+def _retry_after(value: str) -> float | None:
+    """The seconds a ``Retry-After`` value names, or None if it names none.
+
+    Both forms of RFC 9110 10.2.3 are read: delay-seconds, and an HTTP-date,
+    which is in UTC and of which a past one waits 0 s.
+    """
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return int(value)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (ValueError, OverflowError):  # a year too large for a C long overflows
+        return None
+    if when.tzinfo is None:  # the asctime form names no zone
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, when.timestamp() - time.time())
 
 
 def _choice_messages(payload) -> list[dict]:
@@ -221,21 +239,19 @@ def _choice_messages(payload) -> list[dict]:
     return messages
 
 
+@dataclass
 class MockBackend(ExpansionBackend):
     """Deterministic offline backend for tests and reproducible runs."""
 
     MODES = ("echo_terms", "fixed_text")
+    mode: str = "echo_terms"
+    seed: int = 0
+    fixed_text: str = "mock expansion"
+    params: GenerationParams = GenerationParams()
 
-    def __init__(self, mode: str = "echo_terms", seed: int = 0,
-                 fixed_text: str = "mock expansion",
-                 params: GenerationParams = GenerationParams()):
-        if mode not in self.MODES:
-            raise ValueError(f"unknown mock mode {mode!r}")
-        self.mode = mode
-        self.seed = seed
-        self.fixed_text = fixed_text
-        self.params = params
-        self.generation_calls = 0
+    def __post_init__(self):
+        if self.mode not in self.MODES:
+            raise ValueError(f"unknown mock mode {self.mode!r}")
 
     def describe(self) -> dict:
         return {"backend": "mock", "mode": self.mode, "seed": self.seed}
@@ -258,5 +274,4 @@ class MockBackend(ExpansionBackend):
         answer = self.fixed_text if self.mode == "fixed_text" else self._echo_answer(inputs)
         thinking = ("" if self.params.thinking_mode != "think"
                     else f"considering {len(inputs.passages)} passages")
-        self.generation_calls += num_samples
         return [ExpansionResponse(thinking, answer)] * num_samples

@@ -195,7 +195,7 @@ def run_round(
     if degenerate:
         log.warning("round %d: %d of %d samples ended inside <think> and add no words",
                     state.round, degenerate, len(responses))
-    segment = " ".join(r.answer_text for r in responses)
+    segment = " ".join(r.answer_text for r in responses if r.answer_text)
     if config.accumulation_enabled:
         expansions = state.expansions + [segment]
     else:

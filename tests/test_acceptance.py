@@ -8,6 +8,7 @@ import json
 import os
 import random
 import time
+from dataclasses import dataclass, field
 
 import pytest
 from click.testing import CliRunner
@@ -157,15 +158,29 @@ def test_criterion_4_worked_example():
     assert repetition_count(q0, segments, 3.0) == 3
 
 
+@dataclass
+class CountingBackend(MockBackend):
+    """The mock, with a list of the sample counts it is asked for."""
+
+    asked: list[int] = field(default_factory=list)
+
+    def generate(self, inputs, num_samples):
+        self.asked.append(num_samples)
+        return super().generate(inputs, num_samples)
+
+
 @pytest.mark.parametrize("mode", ["interaction", "parallel"])
 @pytest.mark.parametrize("rounds,expected_calls", [(1, 2), (2, 4), (3, 6)])
 def test_criterion_5_call_accounting(mode, rounds, expected_calls):
     corpus = make_corpus(PLANTED_TEXTS, PLANTED_IDS)
     index = build_index(corpus)
-    backend = MockBackend(seed=1)
+    backend = CountingBackend(seed=1)
     config = PipelineConfig(rounds=rounds, samples_per_round=2, mode=mode)
-    run_pipeline(PLANTED_QUERY, corpus, index, backend, config)
-    assert backend.generation_calls == expected_calls
+    _, trace = run_pipeline(PLANTED_QUERY, corpus, index, backend, config)
+    # the backend is asked for rounds x samples samples, and the trace, from
+    # which the run's metadata counts them, holds one thinking trace for each
+    assert sum(backend.asked) == expected_calls
+    assert sum(len(record.thinking_traces) for record in trace) == expected_calls
 
 
 def test_criterion_6_feedback_propagation():

@@ -557,6 +557,8 @@ class TestEvalCommand:
         result = invoke(["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt"),
                          "--json", str(out_json)])
         assert_error_line(result, f"No such file or directory: '{out_json}'")
+        # the JSON is written before the table, so the error comes alone
+        assert "mean" not in result.output
 
 
 class TestAblateCommand:

@@ -150,7 +150,6 @@ class TestMockBackend:
         backend = MockBackend(mode="fixed_text")
         out = backend.generate(PromptInputs("q", ()), 3)
         assert len(out) == 3
-        assert backend.generation_calls == 3
 
     def test_think_mode_has_trace(self):
         backend = MockBackend(mode="fixed_text", params=GenerationParams(thinking_mode="think"))
@@ -207,6 +206,19 @@ def chat_payload(*contents):
     return {"choices": [{"message": {"content": c}} for c in contents]}
 
 
+@pytest.mark.parametrize("kind", ["mock", "chat_completions"])
+def test_generate_writes_no_attribute(kind):
+    # a backend is its configuration: the run counts its samples from the trace
+    if kind == "mock":
+        backend = MockBackend()
+    else:
+        session = FakeSession([FakeResponse(200, chat_payload("a", "b"))])
+        backend = ChatCompletionsBackend("http://backend/v1", "m", session=session)
+    before = dict(vars(backend))
+    assert len(backend.generate(PromptInputs("q", ("p",)), 2)) == 2
+    assert vars(backend) == before
+
+
 class TestHttpBackend:
     def make(self, responses, params=GenerationParams()):
         session = FakeSession(responses)
@@ -223,7 +235,6 @@ class TestHttpBackend:
         out = backend.generate(PromptInputs("q", ("p",)), 2)
         assert [r.answer_text for r in out] == ["passage one", "passage two"]
         assert [r.thinking_trace for r in out] == ["hmm", "hm2"]
-        assert backend.generation_calls == 2
         body = session.requests[0]["json"]
         assert body["model"] == "test-model"
         assert body["n"] == 2
@@ -251,6 +262,7 @@ class TestHttpBackend:
     def test_retries_on_rate_limit(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr("time.sleep", sleeps.append)
+        monkeypatch.setattr("random.uniform", lambda low, high: high)
         backend, session = self.make(
             [FakeResponse(429, text="slow down"), FakeResponse(200, chat_payload("a"))]
         )
@@ -259,12 +271,40 @@ class TestHttpBackend:
         assert len(session.requests) == 2
         assert sleeps == [1.0]  # no Retry-After: the doubling back-off
 
-    @pytest.mark.parametrize("retry_after, pause", [("7", 7), (" 0 ", 0), ("soon", 1.0),
-                                                    ("Wed, 21 Oct 2015 07:28:00 GMT", 1.0)])
+    def test_back_off_has_jitter(self, monkeypatch):
+        sleeps, draws = [], []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+
+        def lowest(low, high):
+            draws.append((low, high))
+            return low
+
+        monkeypatch.setattr("random.uniform", lowest)
+        backend, _ = self.make([FakeResponse(503), FakeResponse(429),
+                                FakeResponse(200, chat_payload("a"))])
+        backend.generate(PromptInputs("q", ()), 1)
+        # each wait is drawn from the upper half of the doubling back-off
+        assert draws == [(0.5, 1.0), (1.0, 2.0)]
+        assert sleeps == [0.5, 1.0]
+
+    NOW = 1445412480.0  # Wed, 21 Oct 2015 07:28:00 GMT
+
+    @pytest.mark.parametrize("retry_after, pause", [
+        ("7", 7), (" 0 ", 0), ("soon", 1.0), ("", 1.0), ("1.5", 1.0), ("-1", 1.0),
+        ("Wed, 21 Oct 2015 07:28:30 GMT", 30.0),  # the IMF-fixdate form
+        ("Wednesday, 21-Oct-15 07:28:30 GMT", 30.0),  # the obsolete RFC 850 form
+        ("Wed Oct 21 07:28:30 2015", 30.0),  # the obsolete asctime form: no zone, so UTC
+        ("Wed, 21 Oct 2015 07:27:00 GMT", 0.0),  # a date gone by waits nothing
+        # no such date: the back-off
+        ("Wed, 32 Oct 2015 07:28:00 GMT", 1.0),
+        ("Wed, 21 Oct 99999999999999999999 07:28:00 GMT", 1.0),
+    ])
     def test_rate_limit_waits_the_seconds_the_server_names(self, monkeypatch, retry_after,
                                                           pause):
         sleeps = []
         monkeypatch.setattr("time.sleep", sleeps.append)
+        monkeypatch.setattr("time.time", lambda: self.NOW)
+        monkeypatch.setattr("random.uniform", lambda low, high: high)
         backend, session = self.make([FakeResponse(429, headers={"Retry-After": retry_after}),
                                       FakeResponse(503), FakeResponse(200, chat_payload("a"))])
         backend.generate(PromptInputs("q", ()), 1)
@@ -333,7 +373,6 @@ class TestHttpBackend:
             backend.generate(PromptInputs("q", ()), 1)
         assert f"200 {text[:200]}" in str(info.value)
         assert len(session.requests) == 1
-        assert backend.generation_calls == 0
 
     def test_null_content_with_reasoning_field(self):
         payload = {"choices": [

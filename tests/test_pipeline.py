@@ -207,7 +207,6 @@ class TestDegenerateSamples:
     class CappedBackend(MockBackend):
         # two of every three samples hit the token cap inside their thinking
         def generate(self, inputs, num_samples):
-            self.generation_calls += num_samples
             return [strip_thinking("<think>ran out of tokens"),
                     ExpansionResponse("", "E"),
                     strip_thinking("<think>also")][:num_samples]
@@ -221,7 +220,8 @@ class TestDegenerateSamples:
         config = PipelineConfig(rounds=2, samples_per_round=3)
         with caplog.at_level(logging.WARNING, logger="iterqe.pipeline"):
             _, trace = run_pipeline("zork flim", corpus, index, self.CappedBackend(), config)
-        assert [r.expansion_segment for r in trace[:-1]] == [" E ", " E "]
+        # only the answers join, with no space for an empty one
+        assert [r.expansion_segment for r in trace[:-1]] == ["E", "E"]
         assert self.warnings(caplog) == [
             f"round {n}: 2 of 3 samples ended inside <think> and add no words" for n in (0, 1)]
 
@@ -233,32 +233,35 @@ class TestDegenerateSamples:
         assert self.warnings(caplog) == []
 
 
+def samples_drawn(trace):
+    """The samples a run drew, as the CLI counts them: one thinking trace each."""
+    return sum(len(record.thinking_traces) for record in trace)
+
+
 class TestRunPipeline:
     def test_interaction_call_accounting(self):
         corpus, index = feedback_setup()
-        backend = MockBackend()
         config = PipelineConfig(rounds=3, samples_per_round=2)
-        run_pipeline("zork flim", corpus, index, backend, config)
-        assert backend.generation_calls == 6
+        _, trace = run_pipeline("zork flim", corpus, index, MockBackend(), config)
+        assert [len(r.thinking_traces) for r in trace] == [2, 2, 2, 0]
+        assert samples_drawn(trace) == 6
 
     def test_parallel_call_accounting(self):
         corpus, index = feedback_setup()
-        backend = MockBackend()
         config = PipelineConfig(rounds=3, samples_per_round=2, mode="parallel")
-        _, trace = run_pipeline("zork flim", corpus, index, backend, config)
-        assert backend.generation_calls == 6
+        _, trace = run_pipeline("zork flim", corpus, index, MockBackend(), config)
+        assert samples_drawn(trace) == 6
         # one expansion record plus the final retrieval record
         assert len(trace) == 2
 
     def test_zero_rounds_is_plain_bm25(self):
         corpus, index = feedback_setup()
-        backend = MockBackend()
         config = PipelineConfig(rounds=0)
-        final_hits, trace = run_pipeline("zork flim", corpus, index, backend, config)
+        final_hits, trace = run_pipeline("zork flim", corpus, index, MockBackend(), config)
         from iterqe.index import search_topk
 
         assert list(final_hits) == list(search_topk(index, "zork flim", config.retrieval_depth))
-        assert backend.generation_calls == 0
+        assert samples_drawn(trace) == 0
 
     def test_final_retrieval_to_the_configured_depth(self):
         corpus, index = feedback_setup()
