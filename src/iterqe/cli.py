@@ -210,9 +210,8 @@ def _execute_batch(corpus, index, queries, cfg, pipe_cfg, backend, out_dir, run_
 
     Queries run in the given order, qid order from ``_read_queries``. Each
     query's run and trace lines are written as soon as its result arrives,
-    so a failed query leaves the queries before it in both files. The
-    metadata's sample count is the number of thinking traces written, one a
-    sample, summed on this thread.
+    so a failed query leaves the queries before it in both files. The run's
+    sample count is the number of thinking traces written, on this thread.
     """
     os.makedirs(out_dir, exist_ok=True)
 

@@ -105,10 +105,7 @@ def strip_thinking(raw: str) -> ExpansionResponse:
 
 
 class ExpansionBackend:
-    """Interface of both backends: a configuration, with the run's GenerationParams.
-
-    ``generate`` writes no attribute: the run counts its samples from the trace.
-    """
+    """Interface of both backends: a configuration; ``generate`` writes no attribute."""
 
     def generate(self, inputs: PromptInputs, num_samples: int) -> list[ExpansionResponse]:
         raise NotImplementedError

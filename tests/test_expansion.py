@@ -287,13 +287,14 @@ class TestHttpBackend:
         assert draws == [(0.5, 1.0), (1.0, 2.0)]
         assert sleeps == [0.5, 1.0]
 
-    NOW = 1445412480.0  # Wed, 21 Oct 2015 07:28:00 GMT
+    NOW = 1445412479.0  # Wed, 21 Oct 2015 07:27:59 GMT
 
     @pytest.mark.parametrize("retry_after, pause", [
         ("7", 7), (" 0 ", 0), ("soon", 1.0), ("", 1.0), ("1.5", 1.0), ("-1", 1.0),
-        ("Wed, 21 Oct 2015 07:28:30 GMT", 30.0),  # the IMF-fixdate form
-        ("Wednesday, 21-Oct-15 07:28:30 GMT", 30.0),  # the obsolete RFC 850 form
-        ("Wed Oct 21 07:28:30 2015", 30.0),  # the obsolete asctime form: no zone, so UTC
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 1.0),  # the IMF-fixdate form
+        ("Wed, 21 Oct 2015 07:28:29 GMT", 30.0),
+        ("Wednesday, 21-Oct-15 07:28:29 GMT", 30.0),  # the obsolete RFC 850 form
+        ("Wed Oct 21 07:28:29 2015", 30.0),  # the obsolete asctime form: no zone, so UTC
         ("Wed, 21 Oct 2015 07:27:00 GMT", 0.0),  # a date gone by waits nothing
         # no such date: the back-off
         ("Wed, 32 Oct 2015 07:28:00 GMT", 1.0),
