@@ -109,11 +109,14 @@ MUTANTS = [
            "repeat(query_id), doc_ids, count(1), scores, repeat(tag)",
            "repeat(query_id), doc_ids, count(0), scores, repeat(tag)"),
     Mutant("evaluate-ranked-in-file-order", "evaluate.py",
-           "ranking = sorted(scores, key=scores.__getitem__, reverse=True)",
-           "ranking = list(scores)"),
+           "return {qid: sorted(scores, key=scores.__getitem__, reverse=True)",
+           "return {qid: list(scores)"),
     Mutant("evaluate-ties-reversed", "evaluate.py",
-           "ranking = sorted(scores, key=scores.__getitem__, reverse=True)",
-           "ranking = sorted(scores, key=scores.__getitem__)[::-1]"),
+           "return {qid: sorted(scores, key=scores.__getitem__, reverse=True)",
+           "return {qid: sorted(scores, key=scores.__getitem__)[::-1]"),
+    Mutant("evaluate-empty-ranking-counts-as-present", "evaluate.py",
+           "if not any(rankings.get(qid) for qid in query_ids):",
+           "if not set(query_ids) & set(rankings):"),
     # expansion
     Mutant("expansion-prefill-ignored", "expansion.py",
            'prefilled = self.params.thinking_mode == "no_think_prefill"', "prefilled = False"),
@@ -141,6 +144,11 @@ MUTANTS = [
            "return when.timestamp() - time.time()"),
     Mutant("expansion-back-off-without-jitter", "expansion.py",
            "random.uniform(delay / 2, delay)", "delay"),
+    Mutant("expansion-long-retry-after-slept", "expansion.py",
+           "named_wait > REQUEST_TIMEOUT_S:", "named_wait > math.inf:"),
+    Mutant("expansion-blank-fixed-text-accepted", "expansion.py",
+           'if self.mode == "fixed_text" and not self.fixed_text.strip():',
+           'if self.mode == "fixed_text" and not self.fixed_text:'),
     Mutant("expansion-reply-content-type-unchecked", "expansion.py",
            'isinstance(m.get("content"), (str, type(None)))', "True"),
     # pipeline
@@ -180,6 +188,8 @@ MUTANTS = [
            "samples += len(record.thinking_traces)", "samples = len(record.thinking_traces)"),
     Mutant("cli-eval-table-before-json", "cli.py",
            "if json_path:", 'if click.echo("mean") or json_path:'),
+    Mutant("cli-ablate-scores-the-first-retrieval", "cli.py",
+           "rankings[qid] = final.doc_ids()", "rankings[qid] = trace[0].retrieved.doc_ids()"),
     Mutant("cli-corpus-checked-by-length", "cli.py",
            "if corpus.doc_ids != index.doc_ids:",
            "if len(corpus.doc_ids) != len(index.doc_ids):"),

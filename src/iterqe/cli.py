@@ -76,12 +76,13 @@ def main():
 
 # an existing file; a directory is refused by click instead of raising on open
 INPUT_FILE = click.Path(exists=True, dir_okay=False)
+CORPUS_FORMAT = click.option("--format", "fmt", type=click.Choice(FORMATS), default=FORMATS[0])
 BACKENDS = ("mock", "http")
 
 
 @main.command("index")
 @click.option("--corpus", "corpus_path", required=True, type=INPUT_FILE)
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="jsonl")
+@CORPUS_FORMAT
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--k1", type=float, default=Bm25Params.k1, show_default=True)
 @click.option("--b", type=float, default=Bm25Params.b, show_default=True)
@@ -106,7 +107,7 @@ def _pipeline_options(fn):
     opts = [
         click.option("--config", "config_path", type=INPUT_FILE, default=None),
         click.option("--corpus", "corpus_path", required=True, type=INPUT_FILE),
-        click.option("--format", "fmt", type=click.Choice(FORMATS), default="jsonl"),
+        CORPUS_FORMAT,
         click.option("--index", "index_path", required=True, type=INPUT_FILE),
         click.option("--queries", "queries_path", required=True, type=INPUT_FILE),
         click.option("--out-dir", required=True, type=click.Path(file_okay=False)),
@@ -208,10 +209,11 @@ def _execute_batch(corpus, index, queries, cfg, pipe_cfg, backend, out_dir, run_
                    workers):
     """Run the pipeline over all queries and write run/trace/metadata files.
 
-    Queries run in the given order, qid order from ``_read_queries``. Each
-    query's run and trace lines are written as soon as its result arrives,
-    so a failed query leaves the queries before it in both files. The run's
-    sample count is the number of thinking traces written, on this thread.
+    Queries run in the given order, qid order from ``_read_queries``; each
+    query's run and trace lines are written as its result arrives, so a failed
+    query leaves the queries before it in both files. The sample count is the
+    thinking traces written, on this thread. Returns the run file's path, the
+    metadata and each query's ranked doc ids, kept as they are written.
     """
     os.makedirs(out_dir, exist_ok=True)
 
@@ -223,10 +225,12 @@ def _execute_batch(corpus, index, queries, cfg, pipe_cfg, backend, out_dir, run_
     trace_path = os.path.join(out_dir, f"{run_name}.trace.jsonl")
     with open(run_path, "w", encoding="utf-8") as rf, \
             open(trace_path, "w", encoding="utf-8") as tf:
+        rankings = {}
 
         def write(results) -> int:
             samples = 0
             for (qid, _), (final, trace) in zip(queries, results):
+                rankings[qid] = final.doc_ids()  # cached: the run line reads the same list
                 rf.write(run_lines(qid, final.doc_ids(), final.scores.tolist(), run_name))
                 for record in trace:
                     tf.write(record.trace_line(qid) + "\n")
@@ -250,7 +254,7 @@ def _execute_batch(corpus, index, queries, cfg, pipe_cfg, backend, out_dir, run_
     meta_path = os.path.join(out_dir, f"{run_name}.metadata.json")
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)
-    return run_path, metadata
+    return run_path, metadata, rankings
 
 
 @main.command("run")
@@ -271,7 +275,7 @@ def cmd_run(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
     cfg = _resolve_run_config(config_path, kwargs)
     pipe_cfg, backend = _build_run(cfg)
     corpus, index, queries = _load_inputs(corpus_path, fmt, index_path, queries_path)
-    run_path, metadata = _execute_batch(
+    run_path, metadata, _ = _execute_batch(
         corpus, index, queries, cfg, pipe_cfg, backend, out_dir, run_name, workers
     )
     click.echo(
@@ -288,7 +292,7 @@ def cmd_run(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
 @click.option("--json", "json_path", type=click.Path(dir_okay=False), default=None)
 def cmd_eval(run_path, qrels_path, threshold, json_path):
     """Score a TREC run against qrels (mAP, nDCG@10, Recall@1000)."""
-    result = evaluate_run(RunFile.read(run_path), Qrels.read(qrels_path),
+    result = evaluate_run(RunFile.read(run_path).ranked(), Qrels.read(qrels_path),
                           binary_threshold=threshold)
     # the JSON first: a --json that cannot be written prints no table before its error
     if json_path:
@@ -336,14 +340,13 @@ def cmd_ablate(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
 
     summary = []
     for cell, cfg, pipe_cfg, backend in cell_runs:
-        run_path, metadata = _execute_batch(
+        run_path, metadata, rankings = _execute_batch(
             corpus, index, queries, cfg, pipe_cfg, backend, out_dir, f"ablate_{cell}", workers
         )
         row = {"cell": cell, "run": run_path,
                "generation_calls": metadata["generation_calls"]}
         if qrels is not None:
-            result = evaluate_run(RunFile.read(run_path), qrels)
-            row.update(result.means)
+            row.update(evaluate_run(rankings, qrels).means)
         summary.append(row)
 
     cols = list(summary[0])

@@ -9,7 +9,7 @@ import orjson
 from .evaluate import is_run_field, utf8_text
 
 
-FORMATS = ("jsonl", "tsv")
+FORMATS = ("jsonl", "tsv")  # the first is the default
 
 
 class CorpusFormatError(ValueError):
@@ -84,7 +84,7 @@ def _tsv_rows(lines):
         yield line_no, parts[0], parts[1]
 
 
-def ingest_corpus(path: str, fmt: str = "jsonl") -> Corpus:
+def ingest_corpus(path: str, fmt: str = FORMATS[0]) -> Corpus:
     """Load a corpus file; jsonl rows need "id"/"contents", tsv rows are id<TAB>text."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r}")

@@ -116,6 +116,12 @@ class RunFile:
                 run.tag = tag
         return run
 
+    def ranked(self) -> dict[str, list[str]]:
+        """Each query's doc ids by score, descending; tied scores keep the run's order."""
+        # a stable sort; trec_eval would break a tie by docno instead
+        return {qid: sorted(scores, key=scores.__getitem__, reverse=True)
+                for qid, scores in self.rankings.items()}
+
 
 def ndcg_at_k(ranking: list[str], grades: dict[str, int], k: int) -> float:
     """Exponential-gain nDCG over the top k; 0 when nothing is relevant."""
@@ -157,29 +163,26 @@ class EvalResult:
     means: dict[str, float]
 
 
-def evaluate_run(run: RunFile, qrels: Qrels,
+def evaluate_run(rankings: dict[str, list[str]], qrels: Qrels,
                  binary_threshold: int = RELEVANCE_THRESHOLD) -> EvalResult:
     """Per-query and mean mAP / nDCG@10 / Recall@1000 over the qrels query set.
 
-    Each query's documents are ranked by score, descending, as trec_eval ranks
-    them; tied scores keep their order in the run (trec_eval breaks ties by docno).
+    ``rankings`` maps a query id to its doc ids, best first. An empty ranking
+    counts as absent, as a query with no hits has no line in a run file.
     """
     query_ids = sorted(qrels.judgments)
-    if not set(query_ids) & set(run.rankings):
+    if not any(rankings.get(qid) for qid in query_ids):
         raise ValueError("run and qrels share no query ids")
     per_query: dict[str, dict[str, float]] = {}
     for qid in query_ids:
         grades = qrels.judgments[qid]
         relevant = {d for d, g in grades.items() if g >= binary_threshold}
-        scores = run.rankings.get(qid, {})
-        ranking = sorted(scores, key=scores.__getitem__, reverse=True)  # stable
+        ranking = rankings.get(qid, ())
         per_query[qid] = {
             "map": average_precision(ranking, relevant),
             f"ndcg@{NDCG_K}": ndcg_at_k(ranking, grades, NDCG_K),
             f"recall@{RECALL_K}": recall_at_k(ranking, relevant, RECALL_K),
         }
     metrics = ["map", f"ndcg@{NDCG_K}", f"recall@{RECALL_K}"]
-    means = {
-        m: sum(per_query[q][m] for q in query_ids) / len(query_ids) for m in metrics
-    }
+    means = {m: sum(per_query[q][m] for q in query_ids) / len(query_ids) for m in metrics}
     return EvalResult(per_query=per_query, means=means)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import email.utils
-import logging
 import math
 import random
 import time
@@ -16,14 +15,12 @@ import requests
 
 from .analysis import STOPWORDS, tokenize
 
-log = logging.getLogger(__name__)
-
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
 NO_THINK_PREFILL = "<think>Okay, I think I have finished thinking.</think>"
 MOCK_ECHO_TERMS = 8  # most frequent passage terms the echo_terms mock answers with
 MAX_OUTPUT_TOKENS = 1024  # max_tokens of every chat-completions request
-REQUEST_TIMEOUT_S = 120.0
+REQUEST_TIMEOUT_S = 120.0  # per request; also the longest Retry-After wait that is kept
 MAX_ATTEMPTS = 3  # per request, counting the first
 
 PROMPT_HEADER = (
@@ -72,8 +69,6 @@ class PromptInputs:
 
 def build_prompt(inputs: PromptInputs) -> str:
     """Render the expansion prompt; passage substitution is literal."""
-    if not inputs.passages:
-        log.warning("building prompt with no feedback passages for %r", inputs.query)
     lines = [PROMPT_HEADER.format(query=inputs.query)]
     for i, passage in enumerate(inputs.passages, 1):
         sep = ";" if i < len(inputs.passages) else ""
@@ -155,6 +150,10 @@ class ChatCompletionsBackend(ExpansionBackend):
                 if resp.status_code == 429:
                     # rate limited: retried, after the wait the server names if it names one
                     named_wait = _retry_after(resp.headers.get("Retry-After", ""))
+                    if named_wait is not None and named_wait > REQUEST_TIMEOUT_S:
+                        raise GenerationError(
+                            f"backend rate limited the request for {named_wait:g} s, longer "
+                            f"than the {REQUEST_TIMEOUT_S:g} s a request may take")
                 elif 400 <= resp.status_code < 500:
                     raise GenerationError(f"backend rejected request: {resp.status_code} {resp.text[:200]}")
                 last_error = GenerationError(f"backend error {resp.status_code}")
@@ -249,6 +248,9 @@ class MockBackend(ExpansionBackend):
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise ValueError(f"unknown mock mode {self.mode!r}")
+        # an empty answer adds no words to the query, only a space
+        if self.mode == "fixed_text" and not self.fixed_text.strip():
+            raise ValueError("fixed_text must hold a non-space character")
 
     def describe(self) -> dict:
         return {"backend": "mock", "mode": self.mode, "seed": self.seed}

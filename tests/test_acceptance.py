@@ -92,7 +92,8 @@ def test_criterion_2_metric_parity_with_reference(tmp_path):
             for qid, grades in qrels.judgments.items():
                 for d, g in grades.items():
                     fh.write(f"{qid} 0 {d} {g}\n")
-        result = evaluate_run(RunFile.read(str(run_path)), Qrels.read(str(qrels_path)))
+        result = evaluate_run(RunFile.read(str(run_path)).ranked(),
+                              Qrels.read(str(qrels_path)))
         _, ref_means = reference_eval(str(run_path), str(qrels_path))
         for metric, ref_value in ref_means.items():
             assert abs(result.means[metric] - ref_value) <= 1e-4
@@ -274,12 +275,9 @@ def test_criterion_8_msmarco_bm25_baseline():
         corpus = ingest_corpus(os.path.join(base, "collection.jsonl"), "jsonl")
         index = build_index(corpus)
         index.save(index_path)
-    run = RunFile(tag="bm25")
     with open(os.path.join(base, "dl19-queries.tsv")) as fh:
-        for line in fh:
-            qid, text = line.rstrip("\n").split("\t", 1)
-            for hit in search_topk(index, text, 1000):
-                run.add(qid, hit.doc_id, hit.score)
+        rankings = {qid: search_topk(index, text, 1000).doc_ids()
+                    for qid, text in (line.rstrip("\n").split("\t", 1) for line in fh)}
     qrels = Qrels.read(os.path.join(base, "dl19-qrels.txt"))
-    result = evaluate_run(run, qrels, binary_threshold=2)
+    result = evaluate_run(rankings, qrels, binary_threshold=2)
     assert abs(result.means["ndcg@10"] * 100 - 50.6) <= 2.0

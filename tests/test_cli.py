@@ -480,6 +480,15 @@ class TestRunCommand:
                 else "unknown thinking_mode 'base_model'") in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_fixed_text_without_a_word_rejected_before_writing(self, workspace, text):
+        idx = build_index_file(workspace)
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out,
+                                 ["--mock-mode", "fixed_text", "--fixed-text", text]))
+        assert_error_line(result, "fixed_text must hold a non-space character")
+        assert not out.exists()
+
     @pytest.mark.parametrize("file_value", [True, False])
     def test_no_filter_flag_wins_over_the_config_file(self, workspace, file_value):
         idx = build_index_file(workspace)
@@ -577,7 +586,15 @@ class TestAblateCommand:
             assert (out / f"ablate_{cell}.run.txt").exists()
         summary = json.loads((out / "ablation_summary.json").read_text())
         assert {row["cell"] for row in summary} == {"full", "accum_only", "filter_only", "parallel"}
-        assert all("ndcg@10" in row for row in summary)
+        # ablate scores the rankings it wrote; eval scores the file: the same means, exactly
+        for row in summary:
+            means = out / f"{row['cell']}.means.json"
+            result = invoke(["eval", "--run", row["run"],
+                             "--qrels", str(workspace / "qrels.txt"), "--json", str(means)])
+            assert result.exit_code == 0, result.output
+            expected = json.loads(means.read_text())["means"]
+            assert {m: row[m] for m in expected} == expected
+            assert set(row) == {"cell", "run", "generation_calls", *expected}
 
     def test_cell_selection(self, workspace):
         idx = build_index_file(workspace)

@@ -91,40 +91,45 @@ class TestRecall:
 class TestEvaluateRun:
     def test_ideal_run(self):
         qrels = Qrels({"q1": {"a": 2, "b": 1}})
-        run = RunFile()
-        run.add("q1", "a", 2.0)
-        run.add("q1", "b", 1.0)
-        result = evaluate_run(run, qrels)
+        result = evaluate_run({"q1": ["a", "b"]}, qrels)
         assert result.means["ndcg@10"] == pytest.approx(1.0)
         assert result.means["map"] == pytest.approx(1.0)
 
     def test_mean_over_queries(self):
         qrels = Qrels({"q1": {"a": 1}, "q2": {"b": 1}})
-        run = RunFile()
-        run.add("q1", "a", 1.0)  # AP 1.0
-        run.add("q2", "x", 1.0)  # AP 0.0
-        assert evaluate_run(run, qrels).means["map"] == pytest.approx(0.5)
+        # AP 1.0 and AP 0.0
+        assert evaluate_run({"q1": ["a"], "q2": ["x"]}, qrels).means["map"] == pytest.approx(0.5)
 
     def test_missing_query_scores_zero(self):
         qrels = Qrels({"q1": {"a": 1}, "q2": {"b": 1}})
-        run = RunFile()
-        run.add("q1", "a", 1.0)
-        result = evaluate_run(run, qrels)
+        result = evaluate_run({"q1": ["a"]}, qrels)
         assert result.per_query["q2"] == {"map": 0.0, "ndcg@10": 0.0, "recall@1000": 0.0}
 
     def test_disjoint_queries_error(self):
         qrels = Qrels({"q1": {"a": 1}})
-        run = RunFile()
-        run.add("q9", "a", 1.0)
         with pytest.raises(ValueError, match="share no query"):
-            evaluate_run(run, qrels)
+            evaluate_run({"q9": ["a"]}, qrels)
+
+    def test_empty_ranking_counts_as_absent(self, tmp_path):
+        # a query with no hits writes no run line, so it is absent when read back
+        path = tmp_path / "run.txt"
+        path.write_text("r Q0 b 1 1.0 t\n")
+        qrels = Qrels({"q": {"a": 1}, "r": {"b": 1}})
+        from_file = evaluate_run(RunFile.read(str(path)).ranked(), qrels)
+        in_memory = evaluate_run({"q": [], "r": ["b"]}, qrels)
+        assert in_memory == from_file
+        assert in_memory.per_query["q"] == {"map": 0.0, "ndcg@10": 0.0, "recall@1000": 0.0}
+        path.write_text("")
+        errors = []
+        for rankings in ({"q": []}, RunFile.read(str(path)).ranked()):
+            with pytest.raises(ValueError, match="share no query ids") as exc:
+                evaluate_run(rankings, Qrels({"q": {"a": 1}}))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
     def test_binary_threshold(self):
         qrels = Qrels({"q1": {"a": 1, "b": 2}})
-        run = RunFile()
-        run.add("q1", "a", 2.0)
-        run.add("q1", "b", 1.0)
-        strict = evaluate_run(run, qrels, binary_threshold=2)
+        strict = evaluate_run({"q1": ["a", "b"]}, qrels, binary_threshold=2)
         assert strict.per_query["q1"]["map"] == pytest.approx(0.5)
 
     def test_ranks_by_score_not_by_line_order(self, tmp_path):
@@ -134,7 +139,9 @@ class TestEvaluateRun:
                         "q2 Q0 dX 1 1.0 t\nq2 Q0 dY 2 1.0 t\n")
         qrels_path = tmp_path / "qrels.txt"
         qrels_path.write_text("q1 0 dB 1\nq2 0 dY 1\n")
-        result = evaluate_run(RunFile.read(str(path)), Qrels.read(str(qrels_path)))
+        ranked = RunFile.read(str(path)).ranked()
+        assert ranked == {"q1": ["dB", "dA"], "q2": ["dX", "dY"]}
+        result = evaluate_run(ranked, Qrels.read(str(qrels_path)))
         ref_per_query, _ = reference_eval(str(path), str(qrels_path))
         assert result.per_query["q1"]["map"] == ref_per_query["q1"]["map"] == 1.0
         # a tie keeps the run's order: dX first, so dY's AP is 1/2
@@ -153,7 +160,8 @@ class TestEvaluateRun:
                 for qid, grades in qrels.judgments.items():
                     for d, g in grades.items():
                         fh.write(f"{qid} 0 {d} {g}\n")
-            result = evaluate_run(RunFile.read(str(run_path)), Qrels.read(str(qrels_path)))
+            result = evaluate_run(RunFile.read(str(run_path)).ranked(),
+                                  Qrels.read(str(qrels_path)))
             _, ref_means = reference_eval(str(run_path), str(qrels_path))
             for metric, value in ref_means.items():
                 assert result.means[metric] == pytest.approx(value, abs=1e-4)

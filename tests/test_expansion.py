@@ -151,6 +151,16 @@ class TestMockBackend:
         out = backend.generate(PromptInputs("q", ()), 3)
         assert len(out) == 3
 
+    @pytest.mark.parametrize("text", ["", "  ", "\t\n"])
+    def test_fixed_text_without_a_word_rejected(self, text):
+        # an empty answer would add only a space to the query each round
+        with pytest.raises(ValueError, match="fixed_text must hold a non-space character"):
+            MockBackend(mode="fixed_text", fixed_text=text)
+
+    def test_echo_mode_never_reads_the_fixed_text(self):
+        backend = MockBackend(mode="echo_terms", fixed_text="", params=NO_THINK)
+        assert backend.generate(PromptInputs("q", ("alpha",)), 1)[0].answer_text == "alpha"
+
     def test_think_mode_has_trace(self):
         backend = MockBackend(mode="fixed_text", params=GenerationParams(thinking_mode="think"))
         out = backend.generate(PromptInputs("q", ("p",)), 2)
@@ -321,6 +331,30 @@ class TestHttpBackend:
             backend.generate(PromptInputs("q", ()), 1)
         assert len(session.requests) == 3
         assert sleeps == [7, 7]
+
+    @pytest.mark.parametrize("retry_after, wait", [
+        ("86400", "86400"),
+        ("Fri, 01 Jan 2100 00:00:00 GMT", "2.65"),  # some 2.7e9 s after NOW
+    ])
+    def test_rate_limit_longer_than_a_request_fails_at_once(self, monkeypatch, retry_after,
+                                                           wait):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        monkeypatch.setattr("time.time", lambda: self.NOW)
+        backend, session = self.make([FakeResponse(429, headers={"Retry-After": retry_after}),
+                                      FakeResponse(200, chat_payload("a"))])
+        with pytest.raises(GenerationError, match=f"rate limited the request for {wait}"):
+            backend.generate(PromptInputs("q", ()), 1)
+        assert len(session.requests) == 1
+        assert sleeps == []
+
+    def test_rate_limit_as_long_as_a_request_is_kept(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        backend, _ = self.make([FakeResponse(429, headers={"Retry-After": "120"}),
+                                FakeResponse(200, chat_payload("a"))])
+        assert backend.generate(PromptInputs("q", ()), 1)[0].answer_text == "a"
+        assert sleeps == [REQUEST_TIMEOUT_S]
 
     def test_4xx_not_retried(self):
         backend, session = self.make([FakeResponse(400, text="bad request")])

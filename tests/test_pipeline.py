@@ -2,13 +2,15 @@ import json
 import logging
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from iterqe.corpus import Corpus
-from iterqe.expansion import ExpansionResponse, MockBackend, strip_thinking
+from iterqe.expansion import (ChatCompletionsBackend, ExpansionResponse, MockBackend,
+                              strip_thinking)
 from iterqe.index import Ranking, build_index, search_topk
 from iterqe.pipeline import (
     PipelineConfig,
@@ -231,6 +233,23 @@ class TestDegenerateSamples:
         with caplog.at_level(logging.WARNING, logger="iterqe.pipeline"):
             run_pipeline("zork flim", corpus, index, MockBackend(), config)
         assert self.warnings(caplog) == []
+
+
+def test_round_without_feedback_warns_once_with_the_http_backend(caplog):
+    # a query with no hits has no feedback; the round says so, and the prompt does not again
+    class OneReplySession:
+        def post(self, url, json=None, headers=None, timeout=None):
+            choices = [{"message": {"content": "<think>t</think>answer"}}] * json["n"]
+            return SimpleNamespace(status_code=200, json=lambda: {"choices": choices})
+
+    corpus, index = feedback_setup()
+    backend = ChatCompletionsBackend("http://backend/v1", "m", session=OneReplySession())
+    with caplog.at_level(logging.WARNING):
+        _, record = run_round(QueryState("unheard"), corpus, index, backend,
+                              PipelineConfig(samples_per_round=2))
+    assert len(record.retrieved) == 0 and record.expansion_segment == "answer answer"
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("iterqe.pipeline", "round 0: no feedback documents survived filtering")]
 
 
 def samples_drawn(trace):
