@@ -83,18 +83,27 @@ MUTANTS = [
            "candidates = candidates[scores[candidates] >= kth]",
            "candidates = candidates[scores[candidates] > kth]"),
     Mutant("index-saved-params-swapped", "index.py",
-           "params=np.array([self.params.k1, self.params.b], dtype=np.float64)",
-           "params=np.array([self.params.b, self.params.k1], dtype=np.float64)"),
+           "np.array([self.params.k1, self.params.b], dtype=np.float64)",
+           "np.array([self.params.b, self.params.k1], dtype=np.float64)"),
     Mutant("index-k1-non-finite-accepted", "index.py",
            "if not 0 <= self.k1 < math.inf:", "if self.k1 < 0:"),
-    Mutant("index-ordinal-at-doc-count-accepted", "index.py",
-           "ordinals.max() < doc_count", "ordinals.max() <= doc_count"),
-    Mutant("index-offsets-order-unchecked", "index.py",
-           "np.any(offsets[1:] < offsets[:-1])", "False"),
     Mutant("index-doc-lengths-count-unchecked", "index.py",
            'if len(arrays["doc_lengths"]) != doc_count:', "if False:"),
-    Mutant("index-posting-repeat-accepted", "index.py",
-           "if not rises.all():", "if False:"),
+    Mutant("index-negative-posting-count-accepted", "index.py",
+           "or counts.min(initial=0) < 0:", ":"),
+    Mutant("index-three-byte-planes-accepted", "index.py",
+           "len(planes) not in (1, 2, 4)", "len(planes) not in (1, 2, 3, 4)"),
+    Mutant("index-last-ordinal-at-doc-count-accepted", "index.py",
+           "last.max(initial=0) >= doc_count", "last.max(initial=0) > doc_count"),
+    Mutant("index-wrapped-gap-sum-accepted", "index.py",
+           "or last.sum(dtype=np.int64) != gaps.sum(dtype=np.int64)):", "):"),
+    Mutant("index-zero-gap-accepted", "index.py",
+           "len(starts) - np.count_nonzero(ordinals[starts]):",
+           "len(starts) - np.count_nonzero(ordinals[starts]) and False:"),
+    Mutant("index-list-start-fixup-dropped", "index.py",
+           "ordinals[starts[1:]] -= last[:-1]", "ordinals[starts[1:]] -= 0"),
+    Mutant("index-saved-gaps-cross-lists", "index.py",
+           "gaps[starts] = ordinals[starts]", "gaps[starts[:0]] = ordinals[starts[:0]]"),
     # evaluate
     Mutant("evaluate-recall-cut-at-k-minus-1", "evaluate.py",
            "return len(relevant & set(ranking[:k])) / len(relevant)",

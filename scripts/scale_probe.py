@@ -14,6 +14,12 @@ file's bytes, the process's peak RSS so far after ingest, build and load
 and at the end, and the median ``search_topk`` milliseconds (top 1000)
 for queries of 4, 50, 200 and 1000 words drawn from the corpus.
 
+The process's own peak after the load is the build's, so it cannot show
+what loading costs. ``load_peak_rss_above_baseline_mb`` can: a fresh
+spawned child, which has imported what this script imports, loads the
+saved index and reports how far its peak RSS rose above its peak before
+the load.
+
 At its default size it is not a test: 200,000 passages need about half
 a gigabyte and a minute or more on two cores. Tier-1 runs it with
 ``--passages 2000`` (``tests/test_scale_probe.py``) to check that it
@@ -53,6 +59,25 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
+def own_peak_rss_mb() -> float:
+    """This process image's peak RSS, Linux's ``VmHWM``.
+
+    Unlike ``ru_maxrss``, it starts again at exec, so a spawned child does
+    not inherit the peak of the process that started it.
+    """
+    with open("/proc/self/status", encoding="ascii") as fh:
+        kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+    return int(kib) / 1024.0
+
+
+def load_peak_rss_above_baseline_mb(index_path: str, conn) -> None:
+    """Run in a fresh process: send the peak RSS that loading the index adds."""
+    baseline = own_peak_rss_mb()
+    PostingIndex.load(index_path)
+    conn.send(own_peak_rss_mb() - baseline)
+    conn.close()
+
+
 def timed(fn, *args):
     start = time.perf_counter()
     value = fn(*args)
@@ -60,7 +85,8 @@ def timed(fn, *args):
 
 
 def probe(passages: int, seed: int, work_dir: str) -> dict:
-    child = multiprocessing.get_context("spawn").Process(
+    spawn = multiprocessing.get_context("spawn")
+    child = spawn.Process(
         target=gen.generate, args=(work_dir, seed, gen.Sizes(passages=passages)))
     child.start()
     child.join()
@@ -81,6 +107,16 @@ def probe(passages: int, seed: int, work_dir: str) -> dict:
     out["index_bytes"] = os.path.getsize(index_path)
     del index
     gc.collect()
+    receiver, sender = spawn.Pipe(duplex=False)
+    child = spawn.Process(target=load_peak_rss_above_baseline_mb, args=(index_path, sender))
+    child.start()
+    sender.close()
+    try:
+        out["load_peak_rss_above_baseline_mb"] = receiver.recv()
+    except EOFError:
+        sys.exit("error: loading the index in a fresh process failed")
+    finally:
+        child.join()
     index, out["load_s"] = timed(PostingIndex.load, index_path)
     out["peak_rss_after_load_mb"] = peak_rss_mb()
 
@@ -105,7 +141,7 @@ def main() -> None:
         result = probe(args.passages, args.seed, work_dir)
     for key, value in result.items():
         if key != "machine":
-            print(f"{key:<25} {value:.4g}" if isinstance(value, float) else f"{key:<25} {value}")
+            print(f"{key:<32} {value:.4g}" if isinstance(value, float) else f"{key:<32} {value}")
     print(json.dumps(result, sort_keys=True))
 
 

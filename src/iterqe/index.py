@@ -7,12 +7,37 @@ the slice ``offsets[r]:offsets[r + 1]`` of ``doc_ordinals``, ``tfs`` and
 or first searched, so a search is a scatter-add of query multiplicity x
 impact over all documents (the eager sparse scoring of BM25S, Lù 2024,
 arXiv:2407.03618).
+
+``PostingIndex.save`` writes an ``np.savez_compressed`` archive (index
+format version 3) at exactly the path given, with these arrays:
+
+- ``format`` (the bytes ``iterqe-index``), ``version`` (``[3]``) and
+  ``params`` (float64 ``[k1, b]``);
+- ``term_bytes`` and ``doc_id_bytes``: the UTF-8 bytes of the terms, in
+  row order, and of the doc ids, in ordinal order, concatenated;
+  ``term_lengths`` and ``doc_id_lengths``: each string's byte count;
+- ``posting_counts``: the number of postings of each term, in row order;
+- ``doc_gap_planes``: the doc ordinals of all posting lists, in row order,
+  as d-gaps (Witten, Moffat and Bell, *Managing Gigabytes*, 1999): each
+  ordinal minus the one before it in its list, the first one minus 0.
+  The gaps are narrowed to 1, 2 or 4 bytes and split into byte planes, the
+  "shuffle" of HDF5 and Blosc: a ``(width, postings)`` uint8 array whose
+  row ``k`` holds byte ``k`` of every gap, low byte first. Deflate packs
+  the mostly zero high planes apart from the low one, smaller and faster
+  than whole ordinals;
+- ``tfs`` and ``doc_lengths``: per posting and per document.
+
+Each integer array other than the planes is stored in the narrowest
+unsigned dtype that holds its largest value. ``PostingIndex.load`` checks
+the stored arrays and decodes them into the int64 offsets and int32
+ordinals, term frequencies and lengths that ``build_index`` makes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import zipfile
 import zlib
 from array import array
@@ -26,12 +51,12 @@ from .analysis import analyze
 from .corpus import Corpus
 
 INDEX_FORMAT = "iterqe-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 _GZIP_MAGIC = b"\x1f\x8b"
 _ZIP_MAGIC = b"PK\x03\x04"  # np.savez writes a zip archive
 # the arrays of an index file besides its format and version
-_ARRAYS = {"params", "term_bytes", "term_offsets", "doc_id_bytes", "doc_id_offsets",
-           "offsets", "doc_ordinals", "tfs", "doc_lengths"}
+_ARRAYS = {"params", "term_bytes", "term_lengths", "doc_id_bytes", "doc_id_lengths",
+           "posting_counts", "doc_gap_planes", "tfs", "doc_lengths"}
 # documents that build_index analyses and counts in one vectorised step
 BUILD_CHUNK_DOCS = 1024
 
@@ -151,33 +176,40 @@ class PostingIndex:
         return len(self.doc_ids)
 
     def save(self, path: str) -> None:
-        # Integer arrays are stored in their narrowest unsigned dtype; the
-        # constructor widens them again on load, so the format stays version 2.
-        term_bytes, term_offsets = _encode_strings(self.terms)
-        id_bytes, id_offsets = _encode_strings(self.doc_ids)
-        # An open handle keeps the path as given; np.savez would append ".npz".
-        with open(path, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                format=np.frombuffer(INDEX_FORMAT.encode(), dtype=np.uint8),
-                version=np.array([INDEX_VERSION], dtype=np.int64),
-                params=np.array([self.params.k1, self.params.b], dtype=np.float64),
-                term_bytes=term_bytes, term_offsets=_narrow(term_offsets),
-                doc_id_bytes=id_bytes, doc_id_offsets=_narrow(id_offsets),
-                offsets=_narrow(self.offsets), doc_ordinals=_narrow(self.doc_ordinals),
-                tfs=_narrow(self.tfs), doc_lengths=_narrow(self.doc_lengths),
-            )
+        """Write the index file (the layout is in the module docstring).
+
+        The archive is written to a temporary file beside ``path``, which
+        then replaces ``path``: a save that fails or is interrupted leaves
+        an earlier file at ``path`` as it was.
+        """
+        term_bytes, term_lengths = _encode_strings(self.terms)
+        id_bytes, id_lengths = _encode_strings(self.doc_ids)
+        arrays = {
+            "format": np.frombuffer(INDEX_FORMAT.encode(), dtype=np.uint8),
+            "version": np.array([INDEX_VERSION], dtype=np.int64),
+            "params": np.array([self.params.k1, self.params.b], dtype=np.float64),
+            "term_bytes": term_bytes, "term_lengths": _narrow(term_lengths),
+            "doc_id_bytes": id_bytes, "doc_id_lengths": _narrow(id_lengths),
+            "posting_counts": _narrow(np.diff(self.offsets)),
+            "doc_gap_planes": _gap_planes(self.doc_ordinals, self.offsets),
+            "tfs": _narrow(self.tfs), "doc_lengths": _narrow(self.doc_lengths),
+        }
+        temporary = f"{path}.{os.getpid()}.tmp"
+        try:
+            # An open handle keeps the path as given; np.savez would append ".npz".
+            with open(temporary, "wb") as fh:
+                np.savez_compressed(fh, **arrays)
+            os.replace(temporary, path)
+        finally:
+            if os.path.lexists(temporary):
+                os.remove(temporary)
 
     @classmethod
     def load(cls, path: str) -> "PostingIndex":
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic.startswith(_GZIP_MAGIC):
-                raise ValueError(
-                    f"{path}: not an index file of version {INDEX_VERSION}; gzip JSON is "
-                    f"index format version 1, which is no longer read: rebuild the index "
-                    f"with `iterqe index`"
-                )
+                raise _no_longer_read(path, "gzip JSON is index format version 1")
             if magic != _ZIP_MAGIC:
                 raise ValueError(f"{path}: not an index file")
             fh.seek(0)
@@ -189,85 +221,128 @@ class PostingIndex:
         if "format" not in arrays or arrays["format"].tobytes() != INDEX_FORMAT.encode():
             raise ValueError(f"{path}: not an index file")
         version = arrays["version"].tolist() if "version" in arrays else None
+        if version == [2]:
+            raise _no_longer_read(path, "this is index format version 2")
         if version != [INDEX_VERSION]:
             raise ValueError(f"{path}: unsupported index version {version}")
         missing = sorted(_ARRAYS - set(arrays))
         if missing:
             raise ValueError(f"{path}: index file lacks {', '.join(missing)}")
-        terms = _decode_strings(arrays["term_bytes"], arrays["term_offsets"])
-        doc_ids = _decode_strings(arrays["doc_id_bytes"], arrays["doc_id_offsets"])
+        terms = _decode_strings(arrays["term_bytes"], arrays["term_lengths"])
+        doc_ids = _decode_strings(arrays["doc_id_bytes"], arrays["doc_id_lengths"])
         try:
-            _check_postings(arrays, len(terms), len(doc_ids))
+            offsets, doc_ordinals = _decode_postings(arrays, len(terms), len(doc_ids))
             k1, b = arrays["params"].tolist()
             params = Bm25Params(k1=k1, b=b)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         index = cls(
             terms=terms,
-            offsets=arrays["offsets"],
-            doc_ordinals=arrays["doc_ordinals"],
+            offsets=offsets,
+            doc_ordinals=doc_ordinals,
             tfs=arrays["tfs"],
             doc_lengths=arrays["doc_lengths"],
             doc_ids=doc_ids,
             params=params,
         )
+        # the stored arrays, the gap planes among them, are not needed to
+        # search: free them before the impacts take the load's peak
+        del arrays
         # a loaded index is there to be searched: pay for these while loading,
         # not in the first query
         index.doc_id_ranks, index.impacts  # noqa: B018
         return index
 
 
-def _check_postings(arrays: dict[str, np.ndarray], term_count: int, doc_count: int) -> None:
-    """Raise ValueError unless the CSR arrays of an index file fit together.
+def _no_longer_read(path: str, what: str) -> ValueError:
+    return ValueError(f"{path}: not an index file of version {INDEX_VERSION}; {what}, which "
+                      f"is no longer read: rebuild the index with `iterqe index`")
 
-    Loading and searching index with them unchecked, so a file whose arrays
-    disagree would otherwise end in a bare IndexError or broadcast error.
+
+def _decode_postings(arrays: dict[str, np.ndarray], term_count: int,
+                     doc_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 posting offsets and int32 doc ordinals of an index file's arrays.
+
+    Raises ValueError unless the stored arrays fit together. Loading and
+    searching index with them unchecked, so a file whose arrays disagree
+    would otherwise end in a bare IndexError or broadcast error, or rank
+    silently wrong.
     """
-    offsets, ordinals = arrays["offsets"], arrays["doc_ordinals"]
+    counts, planes = arrays["posting_counts"], arrays["doc_gap_planes"]
     if doc_count < 1:
         raise ValueError("the index holds no document")
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, dtype=np.int64, out=offsets[1:])
     if len(offsets) != term_count + 1:
         raise ValueError(f"{len(offsets)} posting offsets for {term_count} terms")
-    if offsets[0] != 0 or offsets[-1] != len(ordinals) or np.any(offsets[1:] < offsets[:-1]):
-        raise ValueError(f"the posting offsets do not rise from 0 to {len(ordinals)} postings")
-    if len(arrays["tfs"]) != len(ordinals):
-        raise ValueError(f"{len(arrays['tfs'])} term frequencies for {len(ordinals)} postings")
+    # a gap has the width of an unsigned dtype no wider than int32
+    if planes.dtype != np.uint8 or planes.ndim != 2 or len(planes) not in (1, 2, 4):
+        raise ValueError(f"the doc gaps are not stored as 1, 2 or 4 byte planes "
+                         f"(a {planes.dtype} array of shape {planes.shape})")
+    postings = planes.shape[1]
+    if offsets[-1] != postings or counts.min(initial=0) < 0:
+        raise ValueError(f"the posting offsets do not rise from 0 to {postings} postings")
+    if len(arrays["tfs"]) != postings:
+        raise ValueError(f"{len(arrays['tfs'])} term frequencies for {postings} postings")
     if len(arrays["doc_lengths"]) != doc_count:
         raise ValueError(f"{len(arrays['doc_lengths'])} document lengths for {doc_count} "
                          "documents")
-    if len(ordinals) and not 0 <= ordinals.min() <= ordinals.max() < doc_count:
+    # the planes go straight into the bytes of the ordinals, which then hold the gaps
+    ordinals = np.zeros(postings, dtype="<i4")
+    gap_bytes = ordinals.view(np.uint8).reshape(postings, 4)
+    for k, plane in enumerate(planes):
+        gap_bytes[:, k] = plane
+    starts = offsets[:-1][counts > 0]
+    # a list's gaps sum to its last ordinal. Summed in 32 bits, since a wider
+    # reduceat would first copy every gap, a sum past 2**32 wraps; then the
+    # sums fall short of the gaps' total, summed in 64 bits.
+    gaps = ordinals.view("<u4")
+    last = np.add.reduceat(gaps, starts, dtype=np.uint32)
+    if (last.max(initial=0) >= doc_count
+            or last.sum(dtype=np.int64) != gaps.sum(dtype=np.int64)):
         raise ValueError(f"a posting names a document outside 0..{doc_count - 1}")
-    # a search adds a term's impact to a document once, however often its list
-    # names it; build_index writes each list's ordinals rising strictly, which
-    # one pass checks, so only a list's first ordinal may fall
-    rises = ordinals[1:] > ordinals[:-1]
-    starts = offsets[1:-1]
-    rises[starts[(starts > 0) & (starts < len(ordinals))] - 1] = True
-    if not rises.all():
+    # a search adds a term's impact to a document once, however often its
+    # list names it; only a list's first gap, counted from 0, may be 0
+    if postings - np.count_nonzero(ordinals) != len(starts) - np.count_nonzero(ordinals[starts]):
         raise ValueError("a posting list names a document twice or out of order")
+    # each list's first gap minus the last ordinal of the list before it,
+    # so that one running sum over all gaps restarts at every list
+    ordinals[starts[1:]] -= last[:-1]
+    np.cumsum(ordinals, out=ordinals)
+    return offsets, ordinals
 
 
 def _encode_strings(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """UTF-8 bytes of all strings, concatenated, and each string's byte offsets."""
+    """UTF-8 bytes of all strings, concatenated, and each string's byte count."""
     encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum([len(e) for e in encoded], out=offsets[1:])
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), lengths
 
 
 def _narrow(a: np.ndarray) -> np.ndarray:
     """A non-negative integer array in the narrowest unsigned dtype holding its maximum.
 
     An array that would not shrink keeps its own dtype, so that loading it
-    needs no copy: uint32 doc ordinals would be widened back to int32.
+    needs no copy: uint32 term frequencies would be widened back to int32.
     """
     narrow = np.min_scalar_type(int(a.max(initial=0)))
     return a.astype(narrow) if narrow.itemsize < a.itemsize else a
 
 
-def _decode_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
+def _gap_planes(ordinals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The d-gaps of the posting lists as byte planes, ``(width, postings)`` uint8."""
+    gaps = ordinals.copy()
+    gaps[1:] -= ordinals[:-1]
+    starts = offsets[:-1][offsets[1:] > offsets[:-1]]
+    gaps[starts] = ordinals[starts]
+    gaps = _narrow(gaps)
+    gaps = gaps.astype(gaps.dtype.newbyteorder("<"), copy=False)
+    return np.ascontiguousarray(gaps.view(np.uint8).reshape(len(gaps), gaps.itemsize).T)
+
+
+def _decode_strings(blob: np.ndarray, lengths: np.ndarray) -> list[str]:
     data = blob.tobytes()
-    bounds = offsets.tolist()
+    bounds = [0, *np.cumsum(lengths, dtype=np.int64).tolist()]
     return [data[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(bounds, bounds[1:])]
 
 

@@ -11,6 +11,8 @@ import random
 import re
 from collections import Counter
 
+import numpy as np
+
 from iterqe.analysis import STOPWORDS, analyze
 
 
@@ -63,6 +65,46 @@ def reference_postings(texts):
     doc_ordinals = [ordinal for plist in postings for ordinal, _ in plist]
     tfs = [tf for plist in postings for _, tf in plist]
     return list(rows), offsets, doc_ordinals, tfs, doc_lengths
+
+
+def reference_gap_planes(doc_ordinals, counts, width=1):
+    """The byte planes of an index file's doc gaps, one posting at a time.
+
+    Each posting list's ordinals become gaps, the first counted from 0; each
+    gap is taken modulo ``256 ** width`` (a negative gap wraps as it would in
+    an unsigned dtype of that width), and row ``k`` holds byte ``k`` of every
+    gap, low byte first.
+    """
+    gaps, start = [], 0
+    for count in counts:
+        previous = 0
+        for ordinal in doc_ordinals[start:start + count]:
+            gaps.append((ordinal - previous) % 256 ** width)
+            previous = ordinal
+        start += count
+    return np.array([[gap >> 8 * k & 0xFF for gap in gaps] for k in range(width)],
+                    dtype=np.uint8).reshape(width, len(gaps))
+
+
+def write_version_2_index(path, index):
+    """An index file of format version 2, with the dtypes it was first written in."""
+    def encoded(strings):
+        data = [s.encode("utf-8") for s in strings]
+        offsets = np.cumsum([0] + [len(d) for d in data], dtype=np.int64)
+        return np.frombuffer(b"".join(data), dtype=np.uint8), offsets
+
+    term_bytes, term_offsets = encoded(index.terms)
+    id_bytes, id_offsets = encoded(index.doc_ids)
+    with open(path, "wb") as fh:
+        np.savez_compressed(
+            fh, format=np.frombuffer(b"iterqe-index", dtype=np.uint8),
+            version=np.array([2], dtype=np.int64), params=np.array([0.9, 0.4]),
+            term_bytes=term_bytes, term_offsets=term_offsets,
+            doc_id_bytes=id_bytes, doc_id_offsets=id_offsets,
+            offsets=index.offsets.astype(np.int64),
+            doc_ordinals=index.doc_ordinals.astype(np.int32),
+            tfs=index.tfs.astype(np.int32), doc_lengths=index.doc_lengths.astype(np.int32),
+        )
 
 
 def reference_echo_answer(query, passages, seed, n_terms):

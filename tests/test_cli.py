@@ -6,9 +6,12 @@ import os
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from oracles import reference_gap_planes, write_version_2_index
 
 from iterqe.cli import main
+from iterqe.corpus import ingest_corpus
 from iterqe.expansion import GenerationError, MockBackend
+from iterqe.index import PostingIndex, build_index
 
 CORPUS_DOCS = [
     {"id": "f1", "contents": "zork flim margle brint voyage"},
@@ -406,6 +409,16 @@ class TestRunCommand:
         assert "iterqe index" in result.output
         assert not out.exists()
 
+    def test_version_2_index_rejected_before_writing(self, workspace):
+        idx = workspace / "index.npz"
+        write_version_2_index(idx, build_index(ingest_corpus(str(workspace / "corpus.jsonl"))))
+        out = workspace / "out_bad"
+        result = invoke(run_args(workspace, idx, out))
+        assert_error_line(result, f"{idx}: ")
+        assert "version 2" in result.output
+        assert "iterqe index" in result.output
+        assert not out.exists()
+
     def test_bogus_index_rejected_before_writing(self, workspace):
         idx = workspace / "index.gz"
         idx.write_bytes(b"PK\x03\x04 not really a zip archive")
@@ -415,17 +428,23 @@ class TestRunCommand:
         assert "not an index file" in result.output
         assert not out.exists()
 
+    # each change gets the stored arrays and the loaded index; the first value
+    # names what it corrupts, as index files of version 2 stored it
     @pytest.mark.parametrize("name, change, message", [
-        ("doc_ordinals", lambda a: a.astype(np.int64) + 5, "a posting names a document outside"),
-        ("offsets", lambda a: a[:-1], "posting offsets for"),
-        ("doc_lengths", lambda a: a[:-1], "document lengths for"),
+        ("doc_ordinals", lambda a, index: {"doc_gap_planes": reference_gap_planes(
+            [o + 5 for o in index.doc_ordinals.tolist()], np.diff(index.offsets).tolist(), 1)},
+         "a posting names a document outside"),
+        ("offsets", lambda a, index: {"posting_counts": a["posting_counts"][:-1]},
+         "posting offsets for"),
+        ("doc_lengths", lambda a, index: {"doc_lengths": a["doc_lengths"][:-1]},
+         "document lengths for"),
     ])
     def test_index_whose_arrays_do_not_fit_rejected_before_writing(self, workspace, name,
                                                                     change, message):
         idx = build_index_file(workspace)
         with np.load(idx) as npz:
             arrays = {key: npz[key] for key in npz.files}
-        arrays[name] = change(arrays[name])
+        arrays.update(change(arrays, PostingIndex.load(str(idx))))
         with open(idx, "wb") as fh:
             np.savez_compressed(fh, **arrays)
         out = workspace / "out_bad"

@@ -1,12 +1,15 @@
+import errno
 import json
 import math
 import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import assert_same_ranking, brute_force_ranking, reference_postings
+from oracles import (assert_same_ranking, brute_force_ranking, reference_gap_planes,
+                     reference_postings, write_version_2_index)
 
 from iterqe import index as index_module
 from iterqe.corpus import Corpus
@@ -244,11 +247,15 @@ class TestPersistence:
         index.save(str(path))
         with np.load(path) as npz:
             stored = {name: npz[name] for name in npz.files}
-        # 300 documents: ordinals up to 299 need 16 bits, a tf of at most 299 too
-        assert stored["doc_ordinals"].dtype == np.uint16
+        # 300 documents: gaps up to 299 (basin299's first) need 16 bits, so two
+        # byte planes; a tf of at most 299 needs 16 bits too
+        planes = stored["doc_gap_planes"]
+        assert planes.dtype == np.uint8 and planes.shape == (2, len(index.doc_ordinals))
+        counts = np.diff(index.offsets).tolist()
+        assert planes.tobytes() == reference_gap_planes(index.doc_ordinals.tolist(), counts,
+                                                        2).tobytes()
         assert stored["tfs"].dtype == np.uint16
-        for name in ("offsets", "doc_ordinals", "tfs", "doc_lengths", "term_offsets",
-                     "doc_id_offsets"):
+        for name in ("posting_counts", "tfs", "doc_lengths", "term_lengths", "doc_id_lengths"):
             values = stored[name]
             assert values.dtype == np.min_scalar_type(int(values.max())), name
         loaded = PostingIndex.load(str(path))
@@ -257,48 +264,78 @@ class TestPersistence:
         assert loaded.impacts.tobytes() == index.impacts.tobytes()
 
     def test_array_that_would_not_shrink_keeps_its_dtype(self, tmp_path):
-        # ordinals above 65,535 need 32 bits: stored as int32, loaded without a copy
+        # a gap above 65,535 needs 32 bits: int32's four bytes, stored as four planes
         n = 70_000
         index = PostingIndex(["wax"], np.array([0, 2]), np.array([0, n - 1]), np.array([1, 3]),
                              np.ones(n, dtype=np.int32), [f"d{i}" for i in range(n)])
         path = tmp_path / "index.npz"
         index.save(str(path))
         with np.load(path) as npz:
-            stored = {name: npz[name].dtype for name in INDEX_ARRAYS}
-        assert stored == {"offsets": np.uint8, "doc_ordinals": np.int32, "tfs": np.uint8,
-                          "doc_lengths": np.uint8}
+            stored = {name: npz[name] for name in ("posting_counts", "doc_gap_planes", "tfs",
+                                                   "doc_lengths")}
+        assert {name: a.dtype for name, a in stored.items()} == {
+            "posting_counts": np.uint8, "doc_gap_planes": np.uint8, "tfs": np.uint8,
+            "doc_lengths": np.uint8}
+        # gaps 0 and 69,999 = 0x0001116F, low byte first
+        assert stored["doc_gap_planes"].tolist() == [[0, 0x6F], [0, 0x11], [0, 0x01], [0, 0]]
         loaded = PostingIndex.load(str(path))
         assert_arrays_equal(loaded, {name: getattr(index, name).tolist()
                                      for name in INDEX_ARRAYS})
         assert loaded.impacts.tobytes() == index.impacts.tobytes()
 
-    def test_loads_file_with_wide_dtypes(self, tmp_path):
+    def test_rejects_version_2_file(self, tmp_path):
         # the dtypes of every array as index files of version 2 were first written
         index = build_index(make_corpus(["columbia river", "river boat", "jacket"]))
-
-        def encoded(strings):
-            data = [s.encode("utf-8") for s in strings]
-            offsets = np.cumsum([0] + [len(d) for d in data], dtype=np.int64)
-            return np.frombuffer(b"".join(data), dtype=np.uint8), offsets
-
-        term_bytes, term_offsets = encoded(index.terms)
-        id_bytes, id_offsets = encoded(index.doc_ids)
         path = tmp_path / "wide.npz"
-        with open(path, "wb") as fh:
-            np.savez_compressed(
-                fh, format=np.frombuffer(b"iterqe-index", dtype=np.uint8),
-                version=np.array([2], dtype=np.int64), params=np.array([0.9, 0.4]),
-                term_bytes=term_bytes, term_offsets=term_offsets,
-                doc_id_bytes=id_bytes, doc_id_offsets=id_offsets,
-                offsets=index.offsets.astype(np.int64),
-                doc_ordinals=index.doc_ordinals.astype(np.int32),
-                tfs=index.tfs.astype(np.int32), doc_lengths=index.doc_lengths.astype(np.int32),
-            )
-        loaded = PostingIndex.load(str(path))
-        assert loaded.terms == index.terms and loaded.doc_ids == index.doc_ids
+        write_version_2_index(path, index)
+        with pytest.raises(ValueError, match="version 2") as info:
+            PostingIndex.load(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+        assert "iterqe index" in str(info.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(docs=st.lists(st.lists(st.sampled_from(CHUNK_WORDS), max_size=6), min_size=1,
+                         max_size=12),
+           # stopword-only documents first push the first gaps past one byte
+           lead=st.sampled_from([0, 300]),
+           params=st.sampled_from([Bm25Params(), Bm25Params(k1=1.2, b=0.75)]))
+    def test_round_trip_on_random_corpora(self, docs, lead, params):
+        texts = ["the"] * lead + [" ".join(words) for words in docs]
+        index = build_index(make_corpus(texts), params)
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "index.npz")
+            index.save(path)
+            with np.load(path) as npz:
+                planes = npz["doc_gap_planes"]
+            loaded = PostingIndex.load(path)
+        # the first gaps exceed a byte only after the stopword-only documents
+        assert len(planes) == (2 if lead and len(index.doc_ordinals) else 1)
+        counts = np.diff(index.offsets).tolist()
+        assert planes.tobytes() == reference_gap_planes(index.doc_ordinals.tolist(), counts,
+                                                        len(planes)).tobytes()
+        assert (loaded.terms, loaded.doc_ids, loaded.params) == (index.terms, index.doc_ids,
+                                                                 params)
         assert_arrays_equal(loaded, {name: getattr(index, name).tolist()
                                      for name in INDEX_ARRAYS})
         assert loaded.impacts.tobytes() == index.impacts.tobytes()
+
+    @pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, "No space left on device"),
+                                         KeyboardInterrupt()], ids=["disk-full", "interrupt"])
+    def test_failed_save_leaves_the_earlier_file(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "index.npz"
+        build_index(make_corpus(["columbia river", "river boat"])).save(str(path))
+        before = path.read_bytes()
+        write_arrays = np.savez_compressed
+
+        def write_some_arrays_then_fail(fh, **arrays):
+            write_arrays(fh, **dict(list(arrays.items())[:5]))
+            raise failure
+
+        monkeypatch.setattr(np, "savez_compressed", write_some_arrays_then_fail)
+        with pytest.raises(type(failure)):
+            build_index(make_corpus(["jacket store", "wax paper"])).save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["index.npz"]
 
     def test_rejects_wrong_format(self, tmp_path):
         import gzip
@@ -352,71 +389,101 @@ class TestPersistence:
         future = tmp_path / "future.npz"
         with open(future, "wb") as fh:
             np.savez(fh, format=np.frombuffer(b"iterqe-index", dtype=np.uint8),
-                     version=np.array([3]))
+                     version=np.array([4]))
         with pytest.raises(ValueError, match="unsupported index version"):
             PostingIndex.load(str(future))
 
+    # Each change gets the stored arrays and the file's doc ordinals and posting
+    # counts as lists. The ids name the corruption as index files of version 2
+    # stored it; version 3 stores ordinals as gaps and offsets as counts.
     @pytest.mark.parametrize("change, message", [
-        pytest.param(lambda a: {"doc_ordinals": a["doc_ordinals"].astype(np.int64) + 5},
+        pytest.param(lambda a, o, c: {
+                         "doc_gap_planes": reference_gap_planes([x + 5 for x in o], c)},
                      "outside 0..3", id="ordinals-shifted-by-5"),
         # the largest ordinal at the document count: one past the last document
-        pytest.param(lambda a: {"doc_ordinals": a["doc_ordinals"].astype(np.int64) + 1},
+        pytest.param(lambda a, o, c: {
+                         "doc_gap_planes": reference_gap_planes([x + 1 for x in o], c)},
                      "outside 0..3", id="ordinals-shifted-by-1"),
-        pytest.param(lambda a: {"doc_ordinals": a["doc_ordinals"].astype(np.int32) - 1},
+        # -1 as a 4-byte gap is 0xFFFFFFFF, far past the last document
+        pytest.param(lambda a, o, c: {
+                         "doc_gap_planes": reference_gap_planes([x - 1 for x in o], c, 4)},
                      "outside 0..3", id="negative-ordinal"),
-        pytest.param(lambda a: {"offsets": a["offsets"][:-1]},
+        pytest.param(lambda a, o, c: {"posting_counts": a["posting_counts"][:-1]},
                      "7 posting offsets for 7 terms", id="offsets-one-short"),
-        pytest.param(lambda a: {"offsets": a["offsets"].astype(np.int64) + 1},
+        # every offset one further: the first count one larger
+        pytest.param(lambda a, o, c: {"posting_counts": np.array([c[0] + 1, *c[1:]])},
                      "do not rise from 0", id="offsets-not-from-0"),
-        pytest.param(lambda a: {"offsets": a["offsets"][[0, 2, 1, *range(3, 8)]]},
+        # the offsets of the first two terms swapped: a negative count
+        pytest.param(lambda a, o, c: {"posting_counts": np.diff(np.cumsum([0, *c])[
+                         [0, 2, 1, *range(3, 8)]])},
                      "do not rise from 0", id="offsets-decreasing"),
-        pytest.param(lambda a: {"offsets": np.append(a["offsets"][:-1], a["offsets"][-1] + 1)},
+        pytest.param(lambda a, o, c: {"posting_counts": np.array([*c[:-1], c[-1] + 1])},
                      "do not rise from 0 to 9 postings", id="offsets-past-the-postings"),
-        pytest.param(lambda a: {"tfs": a["tfs"][:-1]},
+        pytest.param(lambda a, o, c: {"posting_counts": np.array([*c[:-1], c[-1] - 1])},
+                     "do not rise from 0 to 9 postings", id="counts-short-of-the-postings"),
+        pytest.param(lambda a, o, c: {"tfs": a["tfs"][:-1]},
                      "8 term frequencies for 9 postings", id="tfs-one-short"),
-        pytest.param(lambda a: {"doc_lengths": a["doc_lengths"][:-1]},
+        pytest.param(lambda a, o, c: {"doc_lengths": a["doc_lengths"][:-1]},
                      "3 document lengths for 4 documents", id="doc-lengths-one-short"),
-        pytest.param(lambda a: {"doc_id_bytes": a["doc_id_bytes"][:0],
-                                "doc_id_offsets": np.zeros(1, dtype=np.uint8),
-                                "doc_lengths": a["doc_lengths"][:0]},
+        pytest.param(lambda a, o, c: {"doc_id_bytes": a["doc_id_bytes"][:0],
+                                      "doc_id_lengths": np.zeros(0, dtype=np.uint8),
+                                      "doc_lengths": a["doc_lengths"][:0]},
                      "holds no document", id="no-document"),
-        pytest.param(lambda a: {"params": np.array([math.nan, 0.4])},
+        pytest.param(lambda a, o, c: {"params": np.array([math.nan, 0.4])},
                      "k1 must be finite", id="k1-nan"),
-        pytest.param(lambda a: {"params": np.array([math.inf, 0.4])},
+        pytest.param(lambda a, o, c: {"params": np.array([math.inf, 0.4])},
                      "k1 must be finite", id="k1-inf"),
+        # the last list, [3], ends at the document count
+        pytest.param(lambda a, o, c: {
+                         "doc_gap_planes": reference_gap_planes([*o[:-1], 4], c)},
+                     "outside 0..3", id="last-ordinal-at-doc-count"),
+        # the first list's gaps 0xFFFFFFFF and 2 sum to 1 in 32 bits
+        pytest.param(lambda a, o, c: {"doc_gap_planes": reference_gap_planes(
+                         [2**32 - 1, 2**32 + 1, *o[2:]], c, 4)},
+                     "outside 0..3", id="gaps-that-wrap-at-32-bits"),
+        pytest.param(lambda a, o, c: {"doc_gap_planes": np.vstack(
+                         [a["doc_gap_planes"], np.zeros((2, 9), dtype=np.uint8)])},
+                     "not stored as 1, 2 or 4 byte planes", id="three-byte-planes"),
+        pytest.param(lambda a, o, c: {"doc_gap_planes": a["doc_gap_planes"].astype(np.uint16)},
+                     "not stored as 1, 2 or 4 byte planes", id="planes-not-bytes"),
     ])
     def test_rejects_arrays_that_do_not_fit_together(self, tmp_path, change, message):
         # 7 terms, 9 postings, 4 documents; the first two terms have 2 postings each
         texts = ["columbia river", "river boat", "jacket store columbia", "wax paper"]
         path = tmp_path / "index.npz"
-        build_index(make_corpus(texts)).save(str(path))
+        index = build_index(make_corpus(texts))
+        index.save(str(path))
         with np.load(path) as npz:
             arrays = {name: npz[name] for name in npz.files}
+        assert len(arrays["doc_gap_planes"]) == 1
+        ordinals, counts = index.doc_ordinals.tolist(), np.diff(index.offsets).tolist()
         with open(path, "wb") as fh:
-            np.savez_compressed(fh, **{**arrays, **change(arrays)})
+            np.savez_compressed(fh, **{**arrays, **change(arrays, ordinals, counts)})
         with pytest.raises(ValueError, match=message) as info:
             PostingIndex.load(str(path))
         assert str(info.value).startswith(f"{path}: ")
 
     # terms wax, candl, paper, boat with postings [0 2], [0], [1 2], [1]: a list's
-    # ordinals rise strictly, and fall only where the next list starts
-    @pytest.mark.parametrize("ordinals", [
-        pytest.param([0, 0, 0, 1, 2, 1], id="wax-names-d0-twice"),
-        pytest.param([2, 0, 0, 1, 2, 1], id="wax-falls"),
-        pytest.param([0, 2, 0, 2, 1, 1], id="paper-falls"),
+    # ordinals rise strictly, and fall only where the next list starts. A list
+    # that names a document twice has a zero gap; one whose ordinals fall has a
+    # negative gap, which wraps to a gap past the last document in a uint8 plane.
+    @pytest.mark.parametrize("ordinals, message", [
+        pytest.param([0, 0, 0, 1, 2, 1], "a posting list names a document twice or out of order",
+                     id="wax-names-d0-twice"),
+        pytest.param([2, 0, 0, 1, 2, 1], "outside 0..2", id="wax-falls"),
+        pytest.param([0, 2, 0, 2, 1, 1], "outside 0..2", id="paper-falls"),
     ])
-    def test_rejects_a_posting_list_that_does_not_rise(self, tmp_path, ordinals):
+    def test_rejects_a_posting_list_that_does_not_rise(self, tmp_path, ordinals, message):
         path = tmp_path / "index.npz"
         index = build_index(make_corpus(["wax candle wax", "paper boat", "wax paper"]))
         index.save(str(path))
         assert PostingIndex.load(str(path)).doc_ordinals.tolist() == [0, 2, 0, 1, 2, 1]
         with np.load(path) as npz:
             arrays = {name: npz[name] for name in npz.files}
-        arrays["doc_ordinals"] = np.array(ordinals, dtype=np.uint8)
+        arrays["doc_gap_planes"] = reference_gap_planes(ordinals, np.diff(index.offsets).tolist())
         with open(path, "wb") as fh:
             np.savez_compressed(fh, **arrays)
-        with pytest.raises(ValueError, match="a posting list names a document twice or "
-                                             "out of order") as info:
+        with pytest.raises(ValueError, match=message) as info:
             PostingIndex.load(str(path))
         assert str(info.value).startswith(f"{path}: ")
 

@@ -10,7 +10,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBE_KEYS = {
     "passages", "seed", "corpus_bytes", "machine", "ingest_s", "peak_rss_after_ingest_mb",
     "build_s", "peak_rss_after_build_mb", "postings", "terms", "save_s", "index_bytes",
-    "load_s", "peak_rss_after_load_mb", "search_ms_q4", "search_ms_q50", "search_ms_q200",
+    "load_s", "peak_rss_after_load_mb", "load_peak_rss_above_baseline_mb", "search_ms_q4", "search_ms_q50", "search_ms_q200",
     "search_ms_q1000", "peak_rss_mb",
 }
 
@@ -28,5 +28,8 @@ def test_scale_probe_runs_on_2000_passages(tmp_path):
     assert set(out) == PROBE_KEYS
     assert out["passages"] == 2000
     assert out["postings"] > 0
+    # a fresh process's own rise, so above 0 and below this process's peak,
+    # which the build set
+    assert 0 < out["load_peak_rss_above_baseline_mb"] < out["peak_rss_mb"]
     # the probe removes its temporary corpus directory
     assert os.listdir(tmp_path) == []
