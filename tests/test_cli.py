@@ -432,7 +432,7 @@ class TestRunCommand:
     # names what it corrupts, as index files of version 2 stored it
     @pytest.mark.parametrize("name, change, message", [
         ("doc_ordinals", lambda a, index: {"doc_gap_planes": reference_gap_planes(
-            [o + 5 for o in index.doc_ordinals.tolist()], np.diff(index.offsets).tolist(), 1)},
+            [o + 5 for o in index.doc_ordinals.tolist()], np.diff(index.offsets).tolist())},
          "a posting names a document outside"),
         ("offsets", lambda a, index: {"posting_counts": a["posting_counts"][:-1]},
          "posting offsets for"),

@@ -10,8 +10,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBE_KEYS = {
     "passages", "seed", "corpus_bytes", "machine", "ingest_s", "peak_rss_after_ingest_mb",
     "build_s", "peak_rss_after_build_mb", "postings", "terms", "save_s", "index_bytes",
-    "load_s", "peak_rss_after_load_mb", "load_peak_rss_above_baseline_mb", "search_ms_q4", "search_ms_q50", "search_ms_q200",
-    "search_ms_q1000", "peak_rss_mb",
+    "load_s", "peak_rss_after_load_mb", "load_peak_rss_above_baseline_mb", "search_ms_q4",
+    "search_ms_q50", "search_ms_q200", "search_ms_q1000", "peak_rss_mb",
 }
 
 
