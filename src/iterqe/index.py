@@ -268,11 +268,13 @@ def _decode_postings(arrays: dict[str, np.ndarray], term_count: int,
     would otherwise end in a bare IndexError or broadcast error, or rank
     silently wrong.
     """
-    counts, planes = arrays["posting_counts"], arrays["doc_gap_planes"]
+    # as int64, a uint64 count past 2**63 is negative, as the check below needs
+    counts = arrays["posting_counts"].astype(np.int64)
+    planes = arrays["doc_gap_planes"]
     if doc_count < 1:
         raise ValueError("the index holds no document")
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, dtype=np.int64, out=offsets[1:])
+    np.cumsum(counts, out=offsets[1:])
     if len(offsets) != term_count + 1:
         raise ValueError(f"{len(offsets)} posting offsets for {term_count} terms")
     # a gap has the width of an unsigned dtype no wider than int32

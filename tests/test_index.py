@@ -421,6 +421,10 @@ class TestPersistence:
                      "do not rise from 0 to 9 postings", id="offsets-past-the-postings"),
         pytest.param(lambda a, o, c: {"posting_counts": np.array([*c[:-1], c[-1] - 1])},
                      "do not rise from 0 to 9 postings", id="counts-short-of-the-postings"),
+        # 2**64 - 1 wraps to -1 in the running sum, which still reaches 9
+        pytest.param(lambda a, o, c: {"posting_counts": np.array(
+                         [2**64 - 1, c[0] + c[1] + 1, *c[2:]], dtype=np.uint64)},
+                     "do not rise from 0 to 9 postings", id="count-past-2-to-the-63"),
         pytest.param(lambda a, o, c: {"tfs": a["tfs"][:-1]},
                      "8 term frequencies for 9 postings", id="tfs-one-short"),
         pytest.param(lambda a, o, c: {"doc_lengths": a["doc_lengths"][:-1]},
