@@ -87,8 +87,19 @@ MUTANTS = [
            "np.array([self.params.b, self.params.k1], dtype=np.float64)"),
     Mutant("index-k1-non-finite-accepted", "index.py",
            "if not 0 <= self.k1 < math.inf:", "if self.k1 < 0:"),
-    Mutant("index-doc-lengths-count-unchecked", "index.py",
-           'if len(arrays["doc_lengths"]) != doc_count:', "if False:"),
+    Mutant("index-doc-lengths-count-postings", "index.py",
+           "np.add.at(self.doc_lengths, self.doc_ordinals, self.tfs)",
+           "np.add.at(self.doc_lengths, self.doc_ordinals, 1)"),
+    Mutant("index-whitespace-name-saved", "index.py",
+           "if text.split() != strings:", "if False:"),
+    Mutant("index-repeated-term-accepted", "index.py",
+           "if len(index.term_rows) != len(terms):", "if False:"),
+    # the strings decoded where a decode error escapes without the path
+    Mutant("index-undecodable-name-unnamed", "index.py",
+           "except ValueError as exc:",
+           "except ValueError as exc:\n"
+           "            if isinstance(exc, UnicodeDecodeError):\n"
+           "                raise"),
     Mutant("index-negative-posting-count-accepted", "index.py",
            "or counts.min(initial=0) < 0:", ":"),
     Mutant("index-three-byte-planes-accepted", "index.py",

@@ -9,13 +9,15 @@ impact over all documents (the eager sparse scoring of BM25S, Lù 2024,
 arXiv:2407.03618).
 
 ``PostingIndex.save`` writes an ``np.savez_compressed`` archive (index
-format version 3) at exactly the path given, with these arrays:
+format version 4) at exactly the path given. It stores only what the index
+cannot derive, in these arrays:
 
-- ``format`` (the bytes ``iterqe-index``), ``version`` (``[3]``) and
+- ``format`` (the bytes ``iterqe-index``), ``version`` (``[4]``) and
   ``params`` (float64 ``[k1, b]``);
-- ``term_bytes`` and ``doc_id_bytes``: the UTF-8 bytes of the terms, in
-  row order, and of the doc ids, in ordinal order, concatenated;
-  ``term_lengths`` and ``doc_id_lengths``: each string's byte count;
+- ``terms`` and ``doc_ids``: the terms, in row order, and the doc ids, in
+  ordinal order, each as one UTF-8 text joined by ``"\\n"``. Neither a term
+  nor a doc id may be empty or hold whitespace, so ``str.split`` reads them
+  back;
 - ``posting_counts``: the number of postings of each term, in row order;
 - ``doc_gap_planes``: the doc ordinals of all posting lists, in row order,
   as d-gaps (Witten, Moffat and Bell, *Managing Gigabytes*, 1999): each
@@ -25,12 +27,13 @@ format version 3) at exactly the path given, with these arrays:
   row ``k`` holds byte ``k`` of every gap, low byte first. Deflate packs
   the mostly zero high planes apart from the low one, smaller and faster
   than whole ordinals;
-- ``tfs`` and ``doc_lengths``: per posting and per document.
+- ``tfs``: the term frequency of each posting.
 
-Each integer array other than the planes is stored in the narrowest
-unsigned dtype that holds its largest value. ``PostingIndex.load`` checks
-the stored arrays and decodes them into the int64 offsets and int32
-ordinals, term frequencies and lengths that ``build_index`` makes.
+``posting_counts`` and ``tfs`` are stored in the narrowest unsigned dtype
+that holds their largest value. A document's length is the sum of its
+postings' term frequencies, so it is not stored. ``PostingIndex.load``
+checks the stored arrays and decodes them into the int64 offsets and int32
+ordinals and term frequencies that ``build_index`` makes.
 """
 
 from __future__ import annotations
@@ -51,12 +54,11 @@ from .analysis import analyze
 from .corpus import Corpus
 
 INDEX_FORMAT = "iterqe-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 _GZIP_MAGIC = b"\x1f\x8b"
 _ZIP_MAGIC = b"PK\x03\x04"  # np.savez writes a zip archive
 # the arrays of an index file besides its format and version
-_ARRAYS = {"params", "term_bytes", "term_lengths", "doc_id_bytes", "doc_id_lengths",
-           "posting_counts", "doc_gap_planes", "tfs", "doc_lengths"}
+_ARRAYS = {"params", "terms", "doc_ids", "posting_counts", "doc_gap_planes", "tfs"}
 # documents that build_index analyses and counts in one vectorised step
 BUILD_CHUNK_DOCS = 1024
 
@@ -121,15 +123,17 @@ class PostingIndex:
     """Postings in CSR layout plus the per-posting BM25 impacts derived from them."""
 
     def __init__(self, terms: list[str], offsets: np.ndarray, doc_ordinals: np.ndarray,
-                 tfs: np.ndarray, doc_lengths: np.ndarray, doc_ids: list[str],
-                 params: Bm25Params | None = None):
+                 tfs: np.ndarray, doc_ids: list[str], params: Bm25Params | None = None):
         self.terms = terms
         self.term_rows = dict(zip(terms, range(len(terms))))
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.doc_ordinals = np.asarray(doc_ordinals, dtype=np.int32)
         self.tfs = np.asarray(tfs, dtype=np.int32)
-        self.doc_lengths = np.asarray(doc_lengths, dtype=np.int32)
         self.doc_ids = doc_ids
+        # a document's length is the sum of its term frequencies. add.at, not
+        # bincount: bincount's weights would be a float64 copy of the tfs
+        self.doc_lengths = np.zeros(self.doc_count, dtype=np.int32)
+        np.add.at(self.doc_lengths, self.doc_ordinals, self.tfs)
         self.params = params or Bm25Params()
         self.avg_doc_length = int(self.doc_lengths.sum(dtype=np.int64)) / self.doc_count
 
@@ -182,17 +186,14 @@ class PostingIndex:
         then replaces ``path``: a save that fails or is interrupted leaves
         an earlier file at ``path`` as it was.
         """
-        term_bytes, term_lengths = _encode_strings(self.terms)
-        id_bytes, id_lengths = _encode_strings(self.doc_ids)
         arrays = {
             "format": np.frombuffer(INDEX_FORMAT.encode(), dtype=np.uint8),
             "version": np.array([INDEX_VERSION], dtype=np.int64),
             "params": np.array([self.params.k1, self.params.b], dtype=np.float64),
-            "term_bytes": term_bytes, "term_lengths": _narrow(term_lengths),
-            "doc_id_bytes": id_bytes, "doc_id_lengths": _narrow(id_lengths),
+            "terms": _joined(self.terms, "term"), "doc_ids": _joined(self.doc_ids, "doc id"),
             "posting_counts": _narrow(np.diff(self.offsets)),
             "doc_gap_planes": _gap_planes(self.doc_ordinals, self.offsets),
-            "tfs": _narrow(self.tfs), "doc_lengths": _narrow(self.doc_lengths),
+            "tfs": _narrow(self.tfs),
         }
         temporary = f"{path}.{os.getpid()}.tmp"
         try:
@@ -221,30 +222,26 @@ class PostingIndex:
         if "format" not in arrays or arrays["format"].tobytes() != INDEX_FORMAT.encode():
             raise ValueError(f"{path}: not an index file")
         version = arrays["version"].tolist() if "version" in arrays else None
-        if version == [2]:
-            raise _no_longer_read(path, "this is index format version 2")
+        if version in ([2], [3]):
+            raise _no_longer_read(path, f"this is index format version {version[0]}")
         if version != [INDEX_VERSION]:
             raise ValueError(f"{path}: unsupported index version {version}")
         missing = sorted(_ARRAYS - set(arrays))
         if missing:
             raise ValueError(f"{path}: index file lacks {', '.join(missing)}")
-        terms = _decode_strings(arrays["term_bytes"], arrays["term_lengths"])
-        doc_ids = _decode_strings(arrays["doc_id_bytes"], arrays["doc_id_lengths"])
         try:
+            # a UnicodeDecodeError is a ValueError
+            terms = arrays["terms"].tobytes().decode("utf-8", "surrogatepass").split()
+            doc_ids = arrays["doc_ids"].tobytes().decode("utf-8", "surrogatepass").split()
             offsets, doc_ordinals = _decode_postings(arrays, len(terms), len(doc_ids))
             k1, b = arrays["params"].tolist()
-            params = Bm25Params(k1=k1, b=b)
+            index = cls(terms, offsets, doc_ordinals, arrays["tfs"], doc_ids,
+                        Bm25Params(k1=k1, b=b))
+            # a repeated term would keep only its last row
+            if len(index.term_rows) != len(terms):
+                raise ValueError("a term is stored twice")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        index = cls(
-            terms=terms,
-            offsets=offsets,
-            doc_ordinals=doc_ordinals,
-            tfs=arrays["tfs"],
-            doc_lengths=arrays["doc_lengths"],
-            doc_ids=doc_ids,
-            params=params,
-        )
         # the stored arrays, the gap planes among them, are not needed to
         # search: free them before the impacts take the load's peak
         del arrays
@@ -286,9 +283,6 @@ def _decode_postings(arrays: dict[str, np.ndarray], term_count: int,
         raise ValueError(f"the posting offsets do not rise from 0 to {postings} postings")
     if len(arrays["tfs"]) != postings:
         raise ValueError(f"{len(arrays['tfs'])} term frequencies for {postings} postings")
-    if len(arrays["doc_lengths"]) != doc_count:
-        raise ValueError(f"{len(arrays['doc_lengths'])} document lengths for {doc_count} "
-                         "documents")
     # the planes go straight into the bytes of the ordinals, which then hold the gaps
     ordinals = np.zeros(postings, dtype="<i4")
     gap_bytes = ordinals.view(np.uint8).reshape(postings, 4)
@@ -314,11 +308,13 @@ def _decode_postings(arrays: dict[str, np.ndarray], term_count: int,
     return offsets, ordinals
 
 
-def _encode_strings(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """UTF-8 bytes of all strings, concatenated, and each string's byte count."""
-    encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), lengths
+def _joined(strings: list[str], what: str) -> np.ndarray:
+    """The UTF-8 bytes of the strings joined by "\\n", which ``str.split`` reads back."""
+    text = "\n".join(strings)
+    if text.split() != strings:
+        raise ValueError(f"a {what} is empty or holds whitespace, which an index file "
+                         "cannot store")
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
 
 
 def _narrow(a: np.ndarray) -> np.ndarray:
@@ -342,12 +338,6 @@ def _gap_planes(ordinals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(gaps.view(np.uint8).reshape(len(gaps), gaps.itemsize).T)
 
 
-def _decode_strings(blob: np.ndarray, lengths: np.ndarray) -> list[str]:
-    data = blob.tobytes()
-    bounds = [0, *np.cumsum(lengths, dtype=np.int64).tolist()]
-    return [data[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(bounds, bounds[1:])]
-
-
 def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingIndex:
     """Analyze every document and build postings sorted by term row, then ordinal.
 
@@ -364,7 +354,6 @@ def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingInde
     # freed chunk arrays stayed in the heap, 100 MB more RSS after a build
     # of 200,000 passages.
     rows, ordinals, tfs = array("i"), array("i"), array("i")
-    doc_lengths = array("i")
     for start in range(0, corpus.doc_count, BUILD_CHUNK_DOCS):
         chunk = corpus.texts[start:start + BUILD_CHUNK_DOCS]
         analyzed = [analyze(text) for text in chunk]
@@ -381,7 +370,6 @@ def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingInde
         rows.frombytes(chunk_rows.astype(np.int32).tobytes())
         ordinals.frombytes(chunk_ordinals.astype(np.int32).tobytes())
         tfs.frombytes(counts.astype(np.int32).tobytes())
-        doc_lengths.frombytes(lengths.astype(np.int32).tobytes())
         del chunk, analyzed, flat, lengths, keys, counts, chunk_rows, chunk_ordinals
     row_of = np.frombuffer(rows, dtype=np.int32)
     # a stable sort by row keeps each term's postings in ascending ordinal order
@@ -397,7 +385,6 @@ def build_index(corpus: Corpus, params: Bm25Params | None = None) -> PostingInde
         offsets=offsets,
         doc_ordinals=sorted_ordinals,
         tfs=sorted_tfs,
-        doc_lengths=np.frombuffer(doc_lengths, dtype=np.int32).copy(),
         # shared, not copied: index and corpus hold one id list
         doc_ids=corpus.doc_ids,
         params=params,

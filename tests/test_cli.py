@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from oracles import reference_gap_planes, write_version_2_index
+from oracles import reference_gap_planes, write_old_index
 
 from iterqe.cli import main
 from iterqe.corpus import ingest_corpus
@@ -409,13 +409,15 @@ class TestRunCommand:
         assert "iterqe index" in result.output
         assert not out.exists()
 
-    def test_version_2_index_rejected_before_writing(self, workspace):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_version_2_index_rejected_before_writing(self, workspace, version):
         idx = workspace / "index.npz"
-        write_version_2_index(idx, build_index(ingest_corpus(str(workspace / "corpus.jsonl"))))
+        write_old_index(idx, build_index(ingest_corpus(str(workspace / "corpus.jsonl"))),
+                        version)
         out = workspace / "out_bad"
         result = invoke(run_args(workspace, idx, out))
         assert_error_line(result, f"{idx}: ")
-        assert "version 2" in result.output
+        assert f"version {version}" in result.output
         assert "iterqe index" in result.output
         assert not out.exists()
 
@@ -429,15 +431,16 @@ class TestRunCommand:
         assert not out.exists()
 
     # each change gets the stored arrays and the loaded index; the first value
-    # names what it corrupts, as index files of version 2 stored it
+    # names what it corrupts
     @pytest.mark.parametrize("name, change, message", [
         ("doc_ordinals", lambda a, index: {"doc_gap_planes": reference_gap_planes(
             [o + 5 for o in index.doc_ordinals.tolist()], np.diff(index.offsets).tolist())},
          "a posting names a document outside"),
         ("offsets", lambda a, index: {"posting_counts": a["posting_counts"][:-1]},
          "posting offsets for"),
-        ("doc_lengths", lambda a, index: {"doc_lengths": a["doc_lengths"][:-1]},
-         "document lengths for"),
+        ("doc_ids", lambda a, index: {"doc_ids": np.frombuffer(
+            b"\xff" + a["doc_ids"].tobytes()[1:], dtype=np.uint8)},
+         "can't decode byte 0xff"),
     ])
     def test_index_whose_arrays_do_not_fit_rejected_before_writing(self, workspace, name,
                                                                     change, message):

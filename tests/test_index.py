@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (assert_same_ranking, brute_force_ranking, reference_gap_planes,
-                     reference_postings, write_version_2_index)
+                     reference_postings, write_old_index)
 
 from iterqe import index as index_module
 from iterqe.corpus import Corpus
@@ -103,7 +103,7 @@ class TestChunkedBuild:
         assert_arrays_equal(index, {"offsets": offsets, "doc_ordinals": doc_ordinals,
                                     "tfs": tfs, "doc_lengths": doc_lengths})
         reference = PostingIndex(terms, np.array(offsets), np.array(doc_ordinals),
-                                 np.array(tfs), np.array(doc_lengths), index.doc_ids)
+                                 np.array(tfs), index.doc_ids)
         assert index.impacts.dtype == np.float64
         assert index.impacts.tobytes() == reference.impacts.tobytes()
 
@@ -255,9 +255,14 @@ class TestPersistence:
         assert planes.tobytes() == reference_gap_planes(index.doc_ordinals.tolist(), counts,
                                                         2).tobytes()
         assert stored["tfs"].dtype == np.uint16
-        for name in ("posting_counts", "tfs", "doc_lengths", "term_lengths", "doc_id_lengths"):
+        for name in ("posting_counts", "tfs"):
             values = stored[name]
             assert values.dtype == np.min_scalar_type(int(values.max())), name
+        for name in ("terms", "doc_ids"):
+            assert stored[name].dtype == np.uint8
+            assert stored[name].tobytes() == "\n".join(getattr(index, name)).encode(), name
+        assert set(stored) == {"format", "version", "params", "terms", "doc_ids",
+                               "posting_counts", "doc_gap_planes", "tfs"}
         loaded = PostingIndex.load(str(path))
         assert_arrays_equal(loaded, {name: getattr(index, name).tolist()
                                      for name in INDEX_ARRAYS})
@@ -267,15 +272,13 @@ class TestPersistence:
         # a gap above 65,535 needs 32 bits: int32's four bytes, stored as four planes
         n = 70_000
         index = PostingIndex(["wax"], np.array([0, 2]), np.array([0, n - 1]), np.array([1, 3]),
-                             np.ones(n, dtype=np.int32), [f"d{i}" for i in range(n)])
+                             [f"d{i}" for i in range(n)])
         path = tmp_path / "index.npz"
         index.save(str(path))
         with np.load(path) as npz:
-            stored = {name: npz[name] for name in ("posting_counts", "doc_gap_planes", "tfs",
-                                                   "doc_lengths")}
+            stored = {name: npz[name] for name in ("posting_counts", "doc_gap_planes", "tfs")}
         assert {name: a.dtype for name, a in stored.items()} == {
-            "posting_counts": np.uint8, "doc_gap_planes": np.uint8, "tfs": np.uint8,
-            "doc_lengths": np.uint8}
+            "posting_counts": np.uint8, "doc_gap_planes": np.uint8, "tfs": np.uint8}
         # gaps 0 and 69,999 = 0x0001116F, low byte first
         assert stored["doc_gap_planes"].tolist() == [[0, 0x6F], [0, 0x11], [0, 0x01], [0, 0]]
         loaded = PostingIndex.load(str(path))
@@ -283,12 +286,13 @@ class TestPersistence:
                                      for name in INDEX_ARRAYS})
         assert loaded.impacts.tobytes() == index.impacts.tobytes()
 
-    def test_rejects_version_2_file(self, tmp_path):
-        # the dtypes of every array as index files of version 2 were first written
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_rejects_version_2_file(self, tmp_path, version):
+        # the arrays and dtypes that index files of that version were written in
         index = build_index(make_corpus(["columbia river", "river boat", "jacket"]))
-        path = tmp_path / "wide.npz"
-        write_version_2_index(path, index)
-        with pytest.raises(ValueError, match="version 2") as info:
+        path = tmp_path / "old.npz"
+        write_old_index(path, index, version)
+        with pytest.raises(ValueError, match=f"version {version}") as info:
             PostingIndex.load(str(path))
         assert str(info.value).startswith(f"{path}: ")
         assert "iterqe index" in str(info.value)
@@ -319,6 +323,22 @@ class TestPersistence:
                                      for name in INDEX_ARRAYS})
         assert loaded.impacts.tobytes() == index.impacts.tobytes()
 
+    @pytest.mark.parametrize("doc_ids, terms, what", [
+        pytest.param(["a b", "d1"], None, "doc id", id="space-in-doc-id"),
+        pytest.param(["", "d1"], None, "doc id", id="empty-doc-id"),
+        pytest.param(["d0", "no\u00a0break"], None, "doc id", id="nbsp-in-doc-id"),
+        pytest.param(["d0", "d1"], ["wax paper"], "term", id="space-in-term"),
+        pytest.param(["d0", "d1"], [""], "term", id="empty-term"),
+    ])
+    def test_save_refuses_a_name_that_is_empty_or_holds_whitespace(self, tmp_path, doc_ids,
+                                                                  terms, what):
+        index = build_index(Corpus(doc_ids, ["wax", "wax"]))
+        if terms is not None:
+            index.terms = terms
+        with pytest.raises(ValueError, match=f"a {what} is empty or holds whitespace"):
+            index.save(str(tmp_path / "index.npz"))
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, "No space left on device"),
                                          KeyboardInterrupt()], ids=["disk-full", "interrupt"])
     def test_failed_save_leaves_the_earlier_file(self, tmp_path, monkeypatch, failure):
@@ -347,7 +367,8 @@ class TestPersistence:
             PostingIndex.load(str(path))
 
     def test_roundtrip_exact_path_strings_and_params(self, tmp_path):
-        doc_ids = ["line\nbreak", "caf\u00e9 \u2603", "nul\x00", "plain"]
+        # neither NUL nor a lone surrogate is whitespace to str.split
+        doc_ids = ["caf\u00e9\u2603", "nul\x00", "lone\ud800", "plain"]
         texts = ["columbia river basin", "river boat", "columbia jacket", "river river"]
         index = build_index(Corpus(list(doc_ids), texts), Bm25Params(k1=1.2, b=0.75))
         path = tmp_path / "index.gz"
@@ -389,13 +410,13 @@ class TestPersistence:
         future = tmp_path / "future.npz"
         with open(future, "wb") as fh:
             np.savez(fh, format=np.frombuffer(b"iterqe-index", dtype=np.uint8),
-                     version=np.array([4]))
+                     version=np.array([5]))
         with pytest.raises(ValueError, match="unsupported index version"):
             PostingIndex.load(str(future))
 
     # Each change gets the stored arrays and the file's doc ordinals and posting
     # counts as lists. The ids name the corruption as index files of version 2
-    # stored it; version 3 stores ordinals as gaps and offsets as counts.
+    # stored it; versions 3 and 4 store ordinals as gaps and offsets as counts.
     @pytest.mark.parametrize("change, message", [
         pytest.param(lambda a, o, c: {
                          "doc_gap_planes": reference_gap_planes([x + 5 for x in o], c)},
@@ -427,12 +448,16 @@ class TestPersistence:
                      "do not rise from 0 to 9 postings", id="count-past-2-to-the-63"),
         pytest.param(lambda a, o, c: {"tfs": a["tfs"][:-1]},
                      "8 term frequencies for 9 postings", id="tfs-one-short"),
-        pytest.param(lambda a, o, c: {"doc_lengths": a["doc_lengths"][:-1]},
-                     "3 document lengths for 4 documents", id="doc-lengths-one-short"),
-        pytest.param(lambda a, o, c: {"doc_id_bytes": a["doc_id_bytes"][:0],
-                                      "doc_id_lengths": np.zeros(0, dtype=np.uint8),
-                                      "doc_lengths": a["doc_lengths"][:0]},
+        pytest.param(lambda a, o, c: {"doc_ids": a["doc_ids"][:0]},
                      "holds no document", id="no-document"),
+        pytest.param(lambda a, o, c: {"doc_ids": np.frombuffer(
+                         b"\xff" + a["doc_ids"].tobytes()[1:], dtype=np.uint8)},
+                     "can't decode byte 0xff", id="doc-ids-not-utf-8"),
+        # columbia river boat jacket store boat paper: a lookup of "boat" would
+        # find the postings of wax, the last row of the name
+        pytest.param(lambda a, o, c: {"terms": np.frombuffer(
+                         a["terms"].tobytes().replace(b"wax", b"boat"), dtype=np.uint8)},
+                     "a term is stored twice", id="repeated-term"),
         pytest.param(lambda a, o, c: {"params": np.array([math.nan, 0.4])},
                      "k1 must be finite", id="k1-nan"),
         pytest.param(lambda a, o, c: {"params": np.array([math.inf, 0.4])},
