@@ -74,8 +74,12 @@ MUTANTS = [
     Mutant("index-length-norm-without-b", "index.py",
            "denominator += 1.0 - b", "denominator += 1.0"),
     Mutant("index-query-multiplicity-ignored", "index.py",
-           "scores[index.doc_ordinals[lo:hi]] += mult * index.impacts[lo:hi]",
-           "scores[index.doc_ordinals[lo:hi]] += index.impacts[lo:hi]"),
+           "np.add.at(scores, index.doc_ordinals[lo:hi], mult * index.impacts[lo:hi])",
+           "np.add.at(scores, index.doc_ordinals[lo:hi], index.impacts[lo:hi])"),
+    # each document's sum in another order: the same scores within an ulp or two
+    Mutant("index-terms-summed-out-of-order", "index.py",
+           "for term, mult in term_counts.items():",
+           "for term, mult in reversed(term_counts.items()):"),
     Mutant("index-tie-break-reversed", "index.py",
            "np.lexsort((index.doc_id_ranks[candidates], -scores[candidates]))",
            "np.lexsort((-index.doc_id_ranks[candidates], -scores[candidates]))"),
@@ -108,6 +112,9 @@ MUTANTS = [
            "last.max(initial=0) >= doc_count", "last.max(initial=0) > doc_count"),
     Mutant("index-wrapped-gap-sum-accepted", "index.py",
            "or last.sum(dtype=np.int64) != gaps.sum(dtype=np.int64)):", "):"),
+    Mutant("index-bad-tf-accepted", "index.py",
+           'if tfs.dtype.kind not in "iu" or tfs.min(initial=1) < 1 '
+           "or tfs.max(initial=1) > _TF_MAX:", "if False:"),
     Mutant("index-zero-gap-accepted", "index.py",
            "len(starts) - np.count_nonzero(ordinals[starts]):",
            "len(starts) - np.count_nonzero(ordinals[starts]) and False:"),

@@ -14,6 +14,13 @@ file's bytes, the process's peak RSS so far after ingest, build and load
 and at the end, and the median ``search_topk`` milliseconds (top 1000)
 for queries of 4, 50, 200 and 1000 words drawn from the corpus.
 
+A round of the paper's loop searches every live query once. So for each
+length it also times a round: one ``search_topk`` call (top 1000) for
+each of ``ROUND_QUERIES`` (16) other queries of that length, spread over
+a pool of one thread (``round16_ms_1t.q<words>``) and of two
+(``round16_ms_2t.q<words>``); the median wall milliseconds of three
+rounds. The two differ as far as a search releases the GIL.
+
 The process's own peak after the load is the build's, so it cannot show
 what loading costs. ``load_peak_rss_above_baseline_mb`` can: a fresh
 spawned child, which has imported what this script imports, loads the
@@ -40,6 +47,8 @@ import statistics
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -53,6 +62,9 @@ DEFAULT_PASSAGES = 200_000
 QUERY_LENGTHS = (4, 50, 200, 1000)
 # passages whose words make up the query vocabulary
 QUERY_SOURCE_DOCS = 2000
+# queries searched in one timed round, and the thread counts it runs on
+ROUND_QUERIES = 16
+ROUND_THREADS = (1, 2)
 
 
 def peak_rss_mb() -> float:
@@ -82,6 +94,17 @@ def timed(fn, *args):
     start = time.perf_counter()
     value = fn(*args)
     return value, time.perf_counter() - start
+
+
+def round_ms(index: PostingIndex, queries: list[str], threads: int) -> float:
+    """Median wall milliseconds of three rounds that search each query once."""
+    times = []
+    with ThreadPoolExecutor(threads) as pool:
+        for _ in range(3):
+            start = time.perf_counter()
+            list(pool.map(search_topk, repeat(index), queries, repeat(1000)))
+            times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1000.0
 
 
 def probe(passages: int, seed: int, work_dir: str) -> dict:
@@ -126,6 +149,12 @@ def probe(passages: int, seed: int, work_dir: str) -> dict:
         query = " ".join(rng.choice(words) for _ in range(length))
         times = [timed(search_topk, index, query, 1000)[1] for _ in range(3)]
         out[f"search_ms_q{length}"] = statistics.median(times) * 1000.0
+    # drawn after the queries above, so that those stay the same
+    for length in QUERY_LENGTHS:
+        queries = [" ".join(rng.choice(words) for _ in range(length))
+                   for _ in range(ROUND_QUERIES)]
+        for threads in ROUND_THREADS:
+            out[f"round{ROUND_QUERIES}_ms_{threads}t.q{length}"] = round_ms(index, queries, threads)
     out["peak_rss_mb"] = peak_rss_mb()
     return out
 

@@ -8,6 +8,15 @@ or first searched, so a search is a scatter-add of query multiplicity x
 impact over all documents (the eager sparse scoring of BM25S, Lù 2024,
 arXiv:2407.03618).
 
+The scatter-add is one ``np.add.at`` per query term, in order of first
+occurrence in the query. Since numpy 1.25 ``ufunc.at`` makes one unbuffered
+pass, with no gathered copy of the scores as ``scores[ordinals] += ...``
+makes, and so takes about half its time. Each document's score is the IEEE
+sum, from 0.0 and term by term in that order, of multiplicity x impact,
+bit for bit (``tests/oracles.reference_scores``), since a posting list
+names a document at most once. ``np.add.at`` holds the GIL for its whole
+pass, so searches on two threads overlap little.
+
 ``PostingIndex.save`` writes an ``np.savez_compressed`` archive (index
 format version 4) at exactly the path given. It stores only what the index
 cannot derive, in these arrays:
@@ -59,6 +68,8 @@ _GZIP_MAGIC = b"\x1f\x8b"
 _ZIP_MAGIC = b"PK\x03\x04"  # np.savez writes a zip archive
 # the arrays of an index file besides its format and version
 _ARRAYS = {"params", "terms", "doc_ids", "posting_counts", "doc_gap_planes", "tfs"}
+# the largest term frequency an index file may store: the index holds tfs as int32
+_TF_MAX = np.iinfo(np.int32).max
 # documents that build_index analyses and counts in one vectorised step
 BUILD_CHUNK_DOCS = 1024
 
@@ -281,8 +292,14 @@ def _decode_postings(arrays: dict[str, np.ndarray], term_count: int,
     postings = planes.shape[1]
     if offsets[-1] != postings or counts.min(initial=0) < 0:
         raise ValueError(f"the posting offsets do not rise from 0 to {postings} postings")
-    if len(arrays["tfs"]) != postings:
-        raise ValueError(f"{len(arrays['tfs'])} term frequencies for {postings} postings")
+    tfs = arrays["tfs"]
+    if len(tfs) != postings:
+        raise ValueError(f"{len(tfs)} term frequencies for {postings} postings")
+    # a tf counts a term's occurrences in a document, so it is at least 1, and
+    # the index holds it as int32: a float would be truncated, a wider one wrap
+    if tfs.dtype.kind not in "iu" or tfs.min(initial=1) < 1 or tfs.max(initial=1) > _TF_MAX:
+        raise ValueError(f"the term frequencies are not integers in 1..{_TF_MAX} "
+                         f"(a {tfs.dtype} array)")
     # the planes go straight into the bytes of the ordinals, which then hold the gaps
     ordinals = np.zeros(postings, dtype="<i4")
     gap_bytes = ordinals.view(np.uint8).reshape(postings, 4)
@@ -297,8 +314,9 @@ def _decode_postings(arrays: dict[str, np.ndarray], term_count: int,
     if (last.max(initial=0) >= doc_count
             or last.sum(dtype=np.int64) != gaps.sum(dtype=np.int64)):
         raise ValueError(f"a posting names a document outside 0..{doc_count - 1}")
-    # a search adds a term's impact to a document once, however often its
-    # list names it; only a list's first gap, counted from 0, may be 0
+    # a search adds a term's impact to a document as often as its list names
+    # it, so a list names each document once; only a list's first gap,
+    # counted from 0, may be 0
     if postings - np.count_nonzero(ordinals) != len(starts) - np.count_nonzero(ordinals[starts]):
         raise ValueError("a posting list names a document twice or out of order")
     # each list's first gap minus the last ordinal of the list before it,
@@ -404,7 +422,7 @@ def search_topk(index: PostingIndex, query_text: str, k: int) -> Ranking:
         row = index.term_rows.get(term)
         if row is not None:
             lo, hi = index.offsets[row], index.offsets[row + 1]
-            scores[index.doc_ordinals[lo:hi]] += mult * index.impacts[lo:hi]
+            np.add.at(scores, index.doc_ordinals[lo:hi], mult * index.impacts[lo:hi])
     candidates = np.flatnonzero(scores > 0.0)
     if candidates.size > k:
         # keep every candidate tied with the k-th score; doc_id decides among them

@@ -41,6 +41,29 @@ def brute_force_ranking(texts, doc_ids, query, k1=0.9, b=0.4):
     return scored
 
 
+def reference_scores(index, query_text):
+    """Every document's BM25 score in ``index``, summed one posting at a time.
+
+    For each distinct query term, in order of first occurrence, and for each
+    of its postings, ``multiplicity * impact`` is added to the document's
+    score, a Python float that starts at 0.0. This fixes the order of every
+    addition, so the program's scores must equal these bit for bit. Returns
+    a list with one score per document ordinal.
+    """
+    counts = {}
+    for term in analyze(query_text):
+        counts[term] = counts.get(term, 0) + 1
+    scores = [0.0] * index.doc_count
+    ordinals, impacts = index.doc_ordinals.tolist(), index.impacts.tolist()
+    for term, mult in counts.items():
+        if term not in index.terms:
+            continue
+        row = index.terms.index(term)
+        for p in range(int(index.offsets[row]), int(index.offsets[row + 1])):
+            scores[ordinals[p]] += mult * impacts[p]
+    return scores
+
+
 def reference_postings(texts):
     """CSR postings built one document at a time, with no numpy.
 

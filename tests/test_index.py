@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (assert_same_ranking, brute_force_ranking, reference_gap_planes,
-                     reference_postings, write_old_index)
+                     reference_postings, reference_scores, write_old_index)
 
 from iterqe import index as index_module
 from iterqe.corpus import Corpus
@@ -72,6 +72,7 @@ class TestBuild:
 
 # "the" and "of" are stopwords, so a document may analyse to no terms at all
 CHUNK_WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "the", "of"]
+BAD_TFS = "the term frequencies are not integers in 1..2147483647"
 INDEX_ARRAYS = {"offsets": np.int64, "doc_ordinals": np.int32, "tfs": np.int32,
                 "doc_lengths": np.int32}
 
@@ -448,6 +449,17 @@ class TestPersistence:
                      "do not rise from 0 to 9 postings", id="count-past-2-to-the-63"),
         pytest.param(lambda a, o, c: {"tfs": a["tfs"][:-1]},
                      "8 term frequencies for 9 postings", id="tfs-one-short"),
+        # tfs that are not counts the index can hold as int32, each of which
+        # would rank wrong
+        pytest.param(lambda a, o, c: {"tfs": np.array([0, *a["tfs"][1:]], dtype=np.uint8)},
+                     BAD_TFS, id="tf-of-0"),
+        pytest.param(lambda a, o, c: {"tfs": np.array([-1, *a["tfs"][1:]], dtype=np.int8)},
+                     BAD_TFS, id="negative-int8-tf"),
+        # truncated to int32 as they load
+        pytest.param(lambda a, o, c: {"tfs": a["tfs"] + 0.5}, BAD_TFS, id="float-tfs"),
+        # read as int32, 2**32 - 1 is -1
+        pytest.param(lambda a, o, c: {"tfs": np.array([2**32 - 1, *a["tfs"][1:]], dtype=np.uint32)},
+                     BAD_TFS, id="uint32-tf-2-to-the-32-minus-1"),
         pytest.param(lambda a, o, c: {"doc_ids": a["doc_ids"][:0]},
                      "holds no document", id="no-document"),
         pytest.param(lambda a, o, c: {"doc_ids": np.frombuffer(
@@ -543,6 +555,32 @@ class TestScatterAddMatchesOracle:
         hits = search_topk(index, query_text, k)
         oracle = brute_force_ranking(texts, doc_ids, query_text, params.k1, params.b)
         assert_same_ranking(hits, oracle, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.sampled_from(WORDS), max_size=8), min_size=1, max_size=20),
+        common=st.integers(min_value=0, max_value=300),
+        query=st.lists(st.sampled_from(WORDS + ["zeta"]), min_size=1, max_size=12),
+        k=st.integers(min_value=1, max_value=40),
+        params=st.sampled_from([Bm25Params(), Bm25Params(k1=1.2, b=0.75)]),
+    )
+    # d7 holds all three query terms; summed as epsilon, beta, alpha its score
+    # is one ulp below the sum in query order
+    @example(docs=[[], ["alpha", "alpha"]], common=6, query=["alpha", "beta", "epsilon"], k=1,
+             params=Bm25Params(k1=1.2, b=0.75))
+    def test_scores_equal_the_scalar_sum_bit_for_bit(self, docs, common, query, k, params):
+        # `common` more documents that all hold alpha, beta and gamma: long
+        # posting lists, whose documents each add up three terms or more
+        texts = [" ".join(words) for words in docs]
+        texts += [" ".join(["alpha", "beta", "gamma", *WORDS[:i % 7]]) for i in range(common)]
+        index = build_index(make_corpus(texts), params)
+        query_text = " ".join(query)
+        ranking = search_topk(index, query_text, k)
+        scores = reference_scores(index, query_text)
+        expected = sorted((o for o, score in enumerate(scores) if score > 0.0),
+                          key=lambda o: (-scores[o], index.doc_ids[o]))[:k]
+        assert ranking.ordinals.tolist() == expected
+        assert ranking.scores.tobytes() == np.array([scores[o] for o in expected]).tobytes()
 
     def test_tied_block_cut_at_k_keeps_smallest_doc_ids(self):
         texts = ["wax"] + ["wax paper"] * 11 + ["paper"]

@@ -12,6 +12,7 @@ PROBE_KEYS = {
     "build_s", "peak_rss_after_build_mb", "postings", "terms", "save_s", "index_bytes",
     "load_s", "peak_rss_after_load_mb", "load_peak_rss_above_baseline_mb", "search_ms_q4",
     "search_ms_q50", "search_ms_q200", "search_ms_q1000", "peak_rss_mb",
+    *(f"round16_ms_{threads}t.q{words}" for threads in (1, 2) for words in (4, 50, 200, 1000)),
 }
 
 
@@ -28,6 +29,7 @@ def test_scale_probe_runs_on_2000_passages(tmp_path):
     assert set(out) == PROBE_KEYS
     assert out["passages"] == 2000
     assert out["postings"] > 0
+    assert all(out[key] > 0 for key in PROBE_KEYS if key.startswith("round16_ms_"))
     # a fresh process's own rise, so above 0 and below this process's peak,
     # which the build set
     assert 0 < out["load_peak_rss_above_baseline_mb"] < out["peak_rss_mb"]
