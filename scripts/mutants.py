@@ -64,6 +64,8 @@ MUTANTS = [
            "if doc_id in seen:", "if doc_id in ():"),
     Mutant("corpus-whitespace-id-accepted", "corpus.py",
            "if not is_run_field(doc_id):", "if not doc_id:"),
+    Mutant("corpus-error-names-no-file", "corpus.py",
+           'raise CorpusFormatError(f"{path}: {exc}") from None', "raise"),
     Mutant("corpus-truncate-one-more", "corpus.py",
            'return " ".join(text.split()[:max_tokens])',
            'return " ".join(text.split()[:max_tokens + 1])'),
@@ -113,8 +115,13 @@ MUTANTS = [
     Mutant("index-wrapped-gap-sum-accepted", "index.py",
            "or last.sum(dtype=np.int64) != gaps.sum(dtype=np.int64)):", "):"),
     Mutant("index-bad-tf-accepted", "index.py",
-           'if tfs.dtype.kind not in "iu" or tfs.min(initial=1) < 1 '
-           "or tfs.max(initial=1) > _TF_MAX:", "if False:"),
+           "if tfs.min(initial=1) < 1 or tfs.max(initial=1) > _TF_MAX:", "if False:"),
+    Mutant("index-other-version-read", "index.py",
+           "if version != [INDEX_VERSION]:", "if version is None:"),
+    Mutant("index-array-kind-unchecked", "index.py",
+           "a.dtype.kind not in kinds or a.ndim != ndim:", "a.ndim != ndim:"),
+    Mutant("index-array-ndim-unchecked", "index.py",
+           "a.dtype.kind not in kinds or a.ndim != ndim:", "a.dtype.kind not in kinds:"),
     Mutant("index-zero-gap-accepted", "index.py",
            "len(starts) - np.count_nonzero(ordinals[starts]):",
            "len(starts) - np.count_nonzero(ordinals[starts]) and False:"),
@@ -123,6 +130,8 @@ MUTANTS = [
     Mutant("index-saved-gaps-cross-lists", "index.py",
            "gaps[starts] = ordinals[starts]", "gaps[starts[:0]] = ordinals[starts[:0]]"),
     # evaluate
+    Mutant("evaluate-byte-order-mark-read", "evaluate.py",
+           'open(path, encoding="utf-8-sig")', 'open(path, encoding="utf-8")'),
     Mutant("evaluate-recall-cut-at-k-minus-1", "evaluate.py",
            "return len(relevant & set(ranking[:k])) / len(relevant)",
            "return len(relevant & set(ranking[:k - 1])) / len(relevant)"),
@@ -217,6 +226,8 @@ MUTANTS = [
            "if json_path:", 'if click.echo("mean") or json_path:'),
     Mutant("cli-ablate-scores-the-first-retrieval", "cli.py",
            "rankings[qid] = final.doc_ids()", "rankings[qid] = trace[0].retrieved.doc_ids()"),
+    Mutant("cli-repeated-cell-run", "cli.py",
+           "if len(set(cell_names)) < len(cell_names):", "if False:"),
     Mutant("cli-corpus-checked-by-length", "cli.py",
            "if corpus.doc_ids != index.doc_ids:",
            "if len(corpus.doc_ids) != len(index.doc_ids):"),
@@ -243,9 +254,6 @@ MUTANTS = [
 def table_problems(root: str = ROOT) -> list[str]:
     """Why mutants of the table do not apply to the source under ``root``; [] if all do."""
     problems = []
-    names = [m.name for m in MUTANTS]
-    for name in sorted({n for n in names if names.count(n) > 1}):
-        problems.append(f"{name}: the name is used more than once")
     for m in MUTANTS:
         path = os.path.join(root, PACKAGE, m.module)
         if not os.path.isfile(path):

@@ -23,7 +23,7 @@ from .pipeline import PipelineConfig, run_pipeline
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path, click.ClickException) as fh:
         try:
             config = json.load(fh)
         except ValueError as exc:
@@ -328,6 +328,8 @@ def cmd_ablate(config_path, corpus_path, fmt, index_path, queries_path, out_dir,
     unknown = [c for c in cell_names if c not in ABLATION_CELLS]
     if unknown:
         raise click.ClickException(f"unknown ablation cells: {', '.join(unknown)}")
+    if len(set(cell_names)) < len(cell_names):  # a cell's second run would overwrite its first
+        raise click.ClickException("--cells names a cell more than once")
     base_cfg = _resolve_run_config(config_path, kwargs)
     cell_runs = []
     for cell in cell_names:

@@ -92,18 +92,21 @@ def ingest_corpus(path: str, fmt: str = FORMATS[0]) -> Corpus:
     texts: list[str] = []
     seen: set[str] = set()  # dropped on return: no id map outlives ingestion
     with utf8_text(path, CorpusFormatError) as fh:
-        for line_no, doc_id, text in (_jsonl_rows if fmt == "jsonl" else _tsv_rows)(fh):
-            # an id is a field of the run file's lines
-            if not is_run_field(doc_id):
-                if not doc_id:
-                    raise CorpusFormatError(f"line {line_no}: empty document id")
-                raise CorpusFormatError(
-                    f"line {line_no}: document id {doc_id!r} contains whitespace")
-            if doc_id in seen:
-                raise CorpusFormatError(f"line {line_no}: duplicate document id {doc_id!r}")
-            seen.add(doc_id)
-            doc_ids.append(doc_id)
-            texts.append(text)
+        try:
+            for line_no, doc_id, text in (_jsonl_rows if fmt == "jsonl" else _tsv_rows)(fh):
+                # an id is a field of the run file's lines
+                if not is_run_field(doc_id):
+                    if not doc_id:
+                        raise CorpusFormatError(f"line {line_no}: empty document id")
+                    raise CorpusFormatError(
+                        f"line {line_no}: document id {doc_id!r} contains whitespace")
+                if doc_id in seen:
+                    raise CorpusFormatError(f"line {line_no}: duplicate document id {doc_id!r}")
+                seen.add(doc_id)
+                doc_ids.append(doc_id)
+                texts.append(text)
+        except CorpusFormatError as exc:  # utf8_text names the file in a decode error
+            raise CorpusFormatError(f"{path}: {exc}") from None
     return Corpus(doc_ids, texts)
 
 

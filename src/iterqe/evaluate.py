@@ -40,9 +40,10 @@ def run_lines(query_id: str, doc_ids, scores, tag: str) -> str:
 def utf8_text(path: str, error: type[Exception]):
     """The file opened as UTF-8 text; a decode error while it is read raises ``error``.
 
-    The one rule for the corpus, query, run and qrels files: the message names the file.
+    The one rule for the corpus, query, run, qrels and config files: the message names
+    the file, and a leading byte order mark is dropped, never read into the first id.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -42,7 +42,9 @@ cannot derive, in these arrays:
 that holds their largest value. A document's length is the sum of its
 postings' term frequencies, so it is not stored. ``PostingIndex.load``
 checks the stored arrays and decodes them into the int64 offsets and int32
-ordinals and term frequencies that ``build_index`` makes.
+ordinals and term frequencies that ``build_index`` makes. It refuses a file
+of any other version with one message, so a change to the stored layout or
+to the analysis bumps ``INDEX_VERSION`` and adds no other code.
 """
 
 from __future__ import annotations
@@ -64,10 +66,10 @@ from .corpus import Corpus
 
 INDEX_FORMAT = "iterqe-index"
 INDEX_VERSION = 4
-_GZIP_MAGIC = b"\x1f\x8b"
-_ZIP_MAGIC = b"PK\x03\x04"  # np.savez writes a zip archive
-# the arrays of an index file besides its format and version
-_ARRAYS = {"params", "terms", "doc_ids", "posting_counts", "doc_gap_planes", "tfs"}
+# the arrays of an index file besides its format and version: the dtype kinds
+# and the number of dimensions that each is stored in
+_ARRAYS = {"params": ("f", 1), "terms": ("u", 1), "doc_ids": ("u", 1),
+           "posting_counts": ("iu", 1), "doc_gap_planes": ("u", 2), "tfs": ("iu", 1)}
 # the largest term frequency an index file may store: the index holds tfs as int32
 _TF_MAX = np.iinfo(np.int32).max
 # documents that build_index analyses and counts in one vectorised step
@@ -218,28 +220,24 @@ class PostingIndex:
 
     @classmethod
     def load(cls, path: str) -> "PostingIndex":
+        # read as the zip archive that np.savez writes, whatever the file holds
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic.startswith(_GZIP_MAGIC):
-                raise _no_longer_read(path, "gzip JSON is index format version 1")
-            if magic != _ZIP_MAGIC:
-                raise ValueError(f"{path}: not an index file")
-            fh.seek(0)
             try:
-                with np.load(fh, allow_pickle=False) as npz:
+                with np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
                     arrays = {name: npz[name] for name in npz.files}
             except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
                 raise ValueError(f"{path}: not an index file ({exc})") from None
         if "format" not in arrays or arrays["format"].tobytes() != INDEX_FORMAT.encode():
             raise ValueError(f"{path}: not an index file")
         version = arrays["version"].tolist() if "version" in arrays else None
-        if version in ([2], [3]):
-            raise _no_longer_read(path, f"this is index format version {version[0]}")
         if version != [INDEX_VERSION]:
-            raise ValueError(f"{path}: unsupported index version {version}")
-        missing = sorted(_ARRAYS - set(arrays))
-        if missing:
-            raise ValueError(f"{path}: index file lacks {', '.join(missing)}")
+            raise ValueError(f"{path}: index file of version {version}, but this code reads "
+                             f"version [{INDEX_VERSION}]: rebuild the index with `iterqe index`")
+        for name, (kinds, ndim) in _ARRAYS.items():
+            a = arrays.get(name)
+            if a is None or a.dtype.kind not in kinds or a.ndim != ndim:
+                raise ValueError(f"{path}: index file lacks {name} as a {ndim}-D array of "
+                                 f"dtype kind {' or '.join(kinds)}")
         try:
             # a UnicodeDecodeError is a ValueError
             terms = arrays["terms"].tobytes().decode("utf-8", "surrogatepass").split()
@@ -262,11 +260,6 @@ class PostingIndex:
         return index
 
 
-def _no_longer_read(path: str, what: str) -> ValueError:
-    return ValueError(f"{path}: not an index file of version {INDEX_VERSION}; {what}, which "
-                      f"is no longer read: rebuild the index with `iterqe index`")
-
-
 def _decode_postings(arrays: dict[str, np.ndarray], term_count: int,
                      doc_count: int) -> tuple[np.ndarray, np.ndarray]:
     """The int64 posting offsets and int32 doc ordinals of an index file's arrays.
@@ -286,7 +279,7 @@ def _decode_postings(arrays: dict[str, np.ndarray], term_count: int,
     if len(offsets) != term_count + 1:
         raise ValueError(f"{len(offsets)} posting offsets for {term_count} terms")
     # a gap has the width of an unsigned dtype no wider than int32
-    if planes.dtype != np.uint8 or planes.ndim != 2 or len(planes) not in (1, 2, 4):
+    if planes.dtype != np.uint8 or len(planes) not in (1, 2, 4):
         raise ValueError(f"the doc gaps are not stored as 1, 2 or 4 byte planes "
                          f"(a {planes.dtype} array of shape {planes.shape})")
     postings = planes.shape[1]
@@ -296,8 +289,8 @@ def _decode_postings(arrays: dict[str, np.ndarray], term_count: int,
     if len(tfs) != postings:
         raise ValueError(f"{len(tfs)} term frequencies for {postings} postings")
     # a tf counts a term's occurrences in a document, so it is at least 1, and
-    # the index holds it as int32: a float would be truncated, a wider one wrap
-    if tfs.dtype.kind not in "iu" or tfs.min(initial=1) < 1 or tfs.max(initial=1) > _TF_MAX:
+    # the index holds it as int32: a wider one would wrap
+    if tfs.min(initial=1) < 1 or tfs.max(initial=1) > _TF_MAX:
         raise ValueError(f"the term frequencies are not integers in 1..{_TF_MAX} "
                          f"(a {tfs.dtype} array)")
     # the planes go straight into the bytes of the ordinals, which then hold the gaps

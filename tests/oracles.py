@@ -109,44 +109,17 @@ def reference_gap_planes(doc_ordinals, counts, width=1):
                     dtype=np.uint8).reshape(width, len(gaps))
 
 
-def write_old_index(path, index, version):
-    """An index file of format version 2 or 3, with the arrays and dtypes it was written in.
+def rewrite_index_version(path, version):
+    """Rewrite a saved index file as one of format ``version``, and drop its tfs.
 
-    Version 2 stored string and posting offsets and whole int32 ordinals;
-    version 3 stored string lengths, posting counts and gap planes, and each
-    integer array in the narrowest unsigned dtype that holds its maximum.
-    Both stored the strings' bytes and the document lengths.
+    A file of another version must be refused for its version, not for the
+    arrays that version 4 reads and it lacks.
     """
-    def narrow(values):
-        values = np.asarray(values, dtype=np.int64)
-        return values.astype(np.min_scalar_type(int(values.max(initial=0))))
-
-    def encoded(strings):
-        data = [s.encode("utf-8") for s in strings]
-        return np.frombuffer(b"".join(data), dtype=np.uint8), [len(d) for d in data]
-
-    term_bytes, term_lengths = encoded(index.terms)
-    id_bytes, id_lengths = encoded(index.doc_ids)
-    counts = np.diff(index.offsets).tolist()
-    if version == 2:
-        arrays = dict(term_offsets=np.cumsum([0, *term_lengths], dtype=np.int64),
-                      doc_id_offsets=np.cumsum([0, *id_lengths], dtype=np.int64),
-                      offsets=index.offsets.astype(np.int64),
-                      doc_ordinals=index.doc_ordinals.astype(np.int32),
-                      tfs=index.tfs.astype(np.int32),
-                      doc_lengths=index.doc_lengths.astype(np.int32))
-    else:
-        arrays = dict(term_lengths=narrow(term_lengths), doc_id_lengths=narrow(id_lengths),
-                      posting_counts=narrow(counts),
-                      doc_gap_planes=reference_gap_planes(
-                          index.doc_ordinals.tolist(), counts,
-                          narrow(index.doc_ordinals).dtype.itemsize),
-                      tfs=narrow(index.tfs), doc_lengths=narrow(index.doc_lengths))
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files if name != "tfs"}
+    arrays["version"] = np.array([version], dtype=np.int64)
     with open(path, "wb") as fh:
-        np.savez_compressed(
-            fh, format=np.frombuffer(b"iterqe-index", dtype=np.uint8),
-            version=np.array([version], dtype=np.int64), params=np.array([0.9, 0.4]),
-            term_bytes=term_bytes, doc_id_bytes=id_bytes, **arrays)
+        np.savez_compressed(fh, **arrays)
 
 
 def reference_echo_answer(query, passages, seed, n_terms):
@@ -180,7 +153,7 @@ def reference_ingest_jsonl(path):
     id. Non-string ids and contents are read as their ``str``.
     """
     doc_ids, texts, seen = [], [], set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue

@@ -1,4 +1,3 @@
-import gzip
 import hashlib
 import json
 import os
@@ -6,7 +5,7 @@ import os
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from oracles import reference_gap_planes, write_old_index
+from oracles import reference_gap_planes, rewrite_index_version
 
 from iterqe.cli import main
 from iterqe.corpus import ingest_corpus
@@ -159,16 +158,6 @@ def run_args(workspace, idx, out_dir, extra=()):
             "--backend", "mock", *extra]
 
 
-def write_version_1_index(workspace):
-    """A gzip-JSON index as format version 1 wrote it."""
-    idx = workspace / "index.gz"
-    payload = {"format": "iterqe-index", "version": 1, "params": {"k1": 0.9, "b": 0.4},
-               "doc_ids": ["f1"], "doc_lengths": [1], "term_postings": {"zork": [[0, 1]]}}
-    with gzip.open(idx, "wt", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    return idx
-
-
 class TestRunCommand:
     def test_call_accounting_interaction(self, workspace):
         idx = build_index_file(workspace)
@@ -216,6 +205,25 @@ class TestRunCommand:
         meta = json.loads((out / "iterqe.metadata.json").read_text())
         assert meta["config"]["rounds"] == 1   # from file
         assert meta["config"]["samples"] == 2  # flag wins
+
+    def test_leading_byte_order_mark_is_not_read(self, workspace):
+        # one before the corpus, the queries, the config, the run and the qrels
+        for path in (workspace / "corpus.jsonl", workspace / "queries.tsv"):
+            path.write_text("\ufeff" + path.read_text(), encoding="utf-8")
+        cfg = workspace / "cfg.json"
+        cfg.write_text('\ufeff{"rounds": 1}', encoding="utf-8")
+        out = workspace / "out"
+        result = invoke(run_args(workspace, build_index_file(workspace), out,
+                                 ["--config", str(cfg)]))
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "iterqe.metadata.json").read_text())["config"]["rounds"] == 1
+        run = out / "iterqe.run.txt"
+        run.write_text("\ufeff" + run.read_text(), encoding="utf-8")
+        qrels = workspace / "qrels.txt"
+        qrels.write_text(f"\ufeffq1 0 {run.read_text().split()[2]} 1\n", encoding="utf-8")
+        result = invoke(["eval", "--run", str(run), "--qrels", str(qrels)])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1].split() == ["q1", "1.0000", "1.0000", "1.0000"]
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--samples", "0", "samples_per_round"),
@@ -400,25 +408,14 @@ class TestRunCommand:
         assert result.exit_code != 0
         assert not out.exists()
 
-    def test_version_1_index_rejected_before_writing(self, workspace):
-        idx = write_version_1_index(workspace)
+    @pytest.mark.parametrize("version", [1, 2, 3, 5])
+    def test_other_index_version_rejected_before_writing(self, workspace, version):
+        idx = build_index_file(workspace)
+        rewrite_index_version(idx, version)
         out = workspace / "out_bad"
         result = invoke(run_args(workspace, idx, out))
-        assert result.exit_code != 0
-        assert "version 1" in result.output
-        assert "iterqe index" in result.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_version_2_index_rejected_before_writing(self, workspace, version):
-        idx = workspace / "index.npz"
-        write_old_index(idx, build_index(ingest_corpus(str(workspace / "corpus.jsonl"))),
-                        version)
-        out = workspace / "out_bad"
-        result = invoke(run_args(workspace, idx, out))
-        assert_error_line(result, f"{idx}: ")
-        assert f"version {version}" in result.output
-        assert "iterqe index" in result.output
+        assert_error_line(result, f"{idx}: index file of version [{version}], but this code "
+                                  "reads version [4]: rebuild the index with `iterqe index`")
         assert not out.exists()
 
     def test_bogus_index_rejected_before_writing(self, workspace):
@@ -632,6 +629,18 @@ class TestAblateCommand:
         assert "ablate_accum_only.run.txt" in files
         assert "ablate_full.run.txt" not in files
 
+    def test_repeated_cell_rejected_before_writing(self, workspace):
+        idx = build_index_file(workspace)
+        out = workspace / "ablate_bad"
+        result = invoke(["ablate",
+                         "--corpus", str(workspace / "corpus.jsonl"),
+                         "--index", str(idx),
+                         "--queries", str(workspace / "queries.tsv"),
+                         "--out-dir", str(out),
+                         "--cells", "full,accum_only,full"])
+        assert_error_line(result, "--cells names a cell more than once")
+        assert not out.exists()
+
     def test_invalid_parameter_rejected_before_writing(self, workspace):
         idx = build_index_file(workspace)
         out = workspace / "ablate_bad"
@@ -656,23 +665,24 @@ class TestAblateCommand:
                          "--out-dir", str(out)])
         assert result.exit_code != 0
         assert "line 1" in result.output
+        assert f"{workspace / 'corpus.jsonl'}: line 1: invalid JSON (" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("version_1", [True, False])
-    def test_old_or_bogus_index_rejected_before_writing(self, workspace, version_1):
-        if version_1:
-            idx = write_version_1_index(workspace)
-        else:
-            idx = workspace / "bogus.idx"
+    @pytest.mark.parametrize("version", [1, 2, 3, 5, pytest.param(None, id="not-an-index")])
+    def test_other_index_version_rejected_before_writing(self, workspace, version):
+        idx = build_index_file(workspace)
+        if version is None:
             idx.write_text("not an index\n")
+        else:
+            rewrite_index_version(idx, version)
         out = workspace / "ablate_bad"
         result = invoke(["ablate",
                          "--corpus", str(workspace / "corpus.jsonl"),
                          "--index", str(idx),
                          "--queries", str(workspace / "queries.tsv"),
                          "--out-dir", str(out)])
-        assert result.exit_code != 0
-        assert ("version 1" if version_1 else "not an index file") in result.output
+        assert_error_line(result, "not an index file" if version is None
+                          else f"version [{version}], but this code reads version [4]")
         assert not out.exists()
 
     def test_out_dir_that_is_a_file_rejected(self, workspace):

@@ -64,6 +64,13 @@ class TestIngest:
         with pytest.raises(CorpusFormatError, match="line 1"):
             ingest_corpus(str(path), "tsv")
 
+    @pytest.mark.parametrize("fmt, line", [("jsonl", '{"id": "d1", "contents": "a"}'),
+                                           ("tsv", "d1\ta")])
+    def test_leading_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path, fmt, line):
+        path = tmp_path / f"c.{fmt}"
+        path.write_text(f"\ufeff{line}\n", encoding="utf-8")
+        assert ingest_corpus(str(path), fmt).doc_ids == ["d1"]
+
     def test_jsonl_roundtrip_preserves_text(self, tmp_path):
         text = 'weird  spacing\tand "quotes" é'
         path = tmp_path / "c.jsonl"
@@ -114,7 +121,7 @@ class TestJsonlMatchesReference:
         except ValueError as exc:
             with pytest.raises(CorpusFormatError) as info:
                 ingest_corpus(str(path), "jsonl")
-            assert str(info.value) == str(exc)
+            assert str(info.value) == f"{path}: {exc}"
         else:
             corpus = ingest_corpus(str(path), "jsonl")
             assert (corpus.doc_ids, corpus.texts) == expected
@@ -133,10 +140,10 @@ class TestDeeplyNestedLine:
         path.write_text('{"id": "d1", "contents": "a"}\n' + nested_line("5", 5000) + "\n")
         with pytest.raises(CorpusFormatError) as info:
             ingest_corpus(str(path), "jsonl")
-        assert str(info.value) == "line 2: invalid JSON (nested too deeply)"
+        assert str(info.value) == f"{path}: line 2: invalid JSON (nested too deeply)"
         with pytest.raises(ValueError) as reference:
             reference_ingest_jsonl(str(path))
-        assert str(reference.value) == str(info.value)
+        assert f"{path}: {reference.value}" == str(info.value)
 
     def test_deep_line_with_string_fields_is_read(self, tmp_path):
         # orjson alone decides such a line, and it has no depth limit
@@ -172,7 +179,7 @@ class TestColumns:
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             with pytest.raises(CorpusFormatError) as info:
                 ingest_corpus(str(path), fmt)
-            assert str(info.value) == message
+            assert str(info.value) == f"{path}: {message}"
 
     # a run file splits its lines at whitespace, so such an id would break it
     @pytest.mark.parametrize("fmt, line, doc_id", [
@@ -189,7 +196,7 @@ class TestColumns:
         path.write_text(f"{first}\n\n{line}\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError) as info:
             ingest_corpus(str(path), fmt)
-        assert str(info.value) == f"line 3: document id {doc_id!r} contains whitespace"
+        assert str(info.value) == f"{path}: line 3: document id {doc_id!r} contains whitespace"
 
     def test_index_equals_one_built_from_documents(self, tmp_path):
         rng = np.random.default_rng(7)

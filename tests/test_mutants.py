@@ -25,9 +25,13 @@ def load_mutants():
 def test_every_mutant_applies_once():
     mutants = load_mutants()
     assert mutants.table_problems() == []
+    # the report names each mutant
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
 
 
 def test_table_covers_every_module():
     live = [m for m in load_mutants().MUTANTS if not m.equivalent]
     assert len(live) >= 20
     assert {m.module for m in live} == MODULES
+
