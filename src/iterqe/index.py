@@ -220,7 +220,7 @@ class PostingIndex:
 
     @classmethod
     def load(cls, path: str) -> "PostingIndex":
-        # read as the zip archive that np.savez writes, whatever the file holds
+        # NpzFile reads only the zip archive that np.savez writes: any other file is a BadZipFile
         with open(path, "rb") as fh:
             try:
                 with np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:

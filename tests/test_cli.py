@@ -8,9 +8,8 @@ from click.testing import CliRunner
 from oracles import reference_gap_planes, rewrite_index_version
 
 from iterqe.cli import main
-from iterqe.corpus import ingest_corpus
 from iterqe.expansion import GenerationError, MockBackend
-from iterqe.index import PostingIndex, build_index
+from iterqe.index import PostingIndex
 
 CORPUS_DOCS = [
     {"id": "f1", "contents": "zork flim margle brint voyage"},

@@ -1,7 +1,6 @@
 import errno
 import gzip
 import io
-import json
 import math
 import os
 import random
