@@ -66,6 +66,9 @@ MUTANTS = [
            "if not is_run_field(doc_id):", "if not doc_id:"),
     Mutant("corpus-error-names-no-file", "corpus.py",
            'raise CorpusFormatError(f"{path}: {exc}") from None', "raise"),
+    Mutant("corpus-file-order-kept", "corpus.py",
+           "order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)",
+           "order = range(len(doc_ids))"),
     Mutant("corpus-truncate-one-more", "corpus.py",
            'return " ".join(text.split()[:max_tokens])',
            'return " ".join(text.split()[:max_tokens + 1])'),
@@ -83,8 +86,10 @@ MUTANTS = [
            "for term, mult in term_counts.items():",
            "for term, mult in reversed(term_counts.items()):"),
     Mutant("index-tie-break-reversed", "index.py",
-           "np.lexsort((index.doc_id_ranks[candidates], -scores[candidates]))",
-           "np.lexsort((-index.doc_id_ranks[candidates], -scores[candidates]))"),
+           'candidates[np.argsort(-scores[candidates], kind="stable")]',
+           'candidates[::-1][np.argsort(-scores[candidates[::-1]], kind="stable")]'),
+    Mutant("index-repeated-doc-id-accepted", "index.py",
+           "map(str.__lt__, doc_ids,", "map(str.__le__, doc_ids,"),
     Mutant("index-kth-tie-dropped", "index.py",
            "candidates = candidates[scores[candidates] >= kth]",
            "candidates = candidates[scores[candidates] > kth]"),
@@ -116,6 +121,9 @@ MUTANTS = [
            "or last.sum(dtype=np.int64) != gaps.sum(dtype=np.int64)):", "):"),
     Mutant("index-bad-tf-accepted", "index.py",
            "if tfs.min(initial=1) < 1 or tfs.max(initial=1) > _TF_MAX:", "if False:"),
+    Mutant("index-non-array-member-read", "index.py",
+           "(not all(isinstance(a, np.ndarray) for a in arrays.values())\n                or ",
+           "("),
     Mutant("index-other-version-read", "index.py",
            "if version != [INDEX_VERSION]:", "if version is None:"),
     Mutant("index-array-kind-unchecked", "index.py",
@@ -132,6 +140,8 @@ MUTANTS = [
     # evaluate
     Mutant("evaluate-byte-order-mark-read", "evaluate.py",
            'open(path, encoding="utf-8-sig")', 'open(path, encoding="utf-8")'),
+    Mutant("evaluate-nan-score-read", "evaluate.py",
+           "if math.isnan(s):", "if False:"),
     Mutant("evaluate-recall-cut-at-k-minus-1", "evaluate.py",
            "return len(relevant & set(ranking[:k])) / len(relevant)",
            "return len(relevant & set(ranking[:k - 1])) / len(relevant)"),

@@ -194,11 +194,11 @@ def _build_run(cfg: dict):
 def _load_inputs(corpus_path, fmt, index_path, queries_path):
     corpus = ingest_corpus(corpus_path, fmt)
     index = PostingIndex.load(index_path)
-    # the corpus must hold every passage the index names; the same order lets them share ordinals
+    # the corpus must hold every passage the index names; both number them in id order
     if corpus.doc_ids != index.doc_ids:
         raise click.ClickException(
             f"{corpus_path} is not the corpus {index_path} was built from (their passage "
-            "ids differ or are in another order); rebuild the index with `iterqe index`"
+            "ids differ); rebuild the index with `iterqe index`"
         )
     # equal lists: keep one, which run_pipeline requires
     corpus.doc_ids = index.doc_ids

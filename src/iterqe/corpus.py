@@ -17,18 +17,19 @@ class CorpusFormatError(ValueError):
 
 
 class Corpus:
-    """A document collection as two columns, ``doc_ids`` and ``texts``.
+    """A document collection as two columns, ``doc_ids`` and ``texts``, sorted by id.
 
-    A passage is addressed by its ordinal, its position in both lists. An
-    index built from the corpus numbers passages the same way, so the
-    ordinals of a ranking read the passages' texts directly.
+    A passage is addressed by its ordinal, its position in both lists: the rank
+    of its id, whatever order the columns came in. An index built from the
+    corpus numbers passages the same way, so a ranking's ordinals read the texts.
     """
 
     __slots__ = ("doc_ids", "texts")
 
     def __init__(self, doc_ids: list[str], texts: list[str]):
-        self.doc_ids = doc_ids
-        self.texts = texts
+        order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+        self.doc_ids = [doc_ids[i] for i in order]
+        self.texts = [texts[i] for i in order]
 
     @property
     def doc_count(self) -> int:

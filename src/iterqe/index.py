@@ -18,15 +18,17 @@ names a document at most once. ``np.add.at`` holds the GIL for its whole
 pass, so searches on two threads overlap little.
 
 ``PostingIndex.save`` writes an ``np.savez_compressed`` archive (index
-format version 4) at exactly the path given. It stores only what the index
+format version 5) at exactly the path given. It stores only what the index
 cannot derive, in these arrays:
 
-- ``format`` (the bytes ``iterqe-index``), ``version`` (``[4]``) and
+- ``format`` (the bytes ``iterqe-index``), ``version`` (``[5]``) and
   ``params`` (float64 ``[k1, b]``);
 - ``terms`` and ``doc_ids``: the terms, in row order, and the doc ids, in
   ordinal order, each as one UTF-8 text joined by ``"\\n"``. Neither a term
   nor a doc id may be empty or hold whitespace, so ``str.split`` reads them
-  back;
+  back. An ordinal is the rank of its doc id: the ids ascend strictly, and
+  ``PostingIndex`` refuses any other order, so that a tie broken by ordinal
+  is broken by doc id;
 - ``posting_counts``: the number of postings of each term, in row order;
 - ``doc_gap_planes``: the doc ordinals of all posting lists, in row order,
   as d-gaps (Witten, Moffat and Bell, *Managing Gigabytes*, 1999): each
@@ -57,7 +59,7 @@ import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -65,7 +67,7 @@ from .analysis import analyze
 from .corpus import Corpus
 
 INDEX_FORMAT = "iterqe-index"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 # the arrays of an index file besides its format and version: the dtype kinds
 # and the number of dimensions that each is stored in
 _ARRAYS = {"params": ("f", 1), "terms": ("u", 1), "doc_ids": ("u", 1),
@@ -137,6 +139,8 @@ class PostingIndex:
 
     def __init__(self, terms: list[str], offsets: np.ndarray, doc_ordinals: np.ndarray,
                  tfs: np.ndarray, doc_ids: list[str], params: Bm25Params | None = None):
+        if not all(map(str.__lt__, doc_ids, islice(doc_ids, 1, None))):
+            raise ValueError("the doc ids are not strictly ascending")
         self.terms = terms
         self.term_rows = dict(zip(terms, range(len(terms))))
         self.offsets = np.asarray(offsets, dtype=np.int64)
@@ -150,18 +154,8 @@ class PostingIndex:
         self.params = params or Bm25Params()
         self.avg_doc_length = int(self.doc_lengths.sum(dtype=np.int64)) / self.doc_count
 
-    # The two arrays below are needed only to search. They are computed on
-    # first use, so that ``iterqe index``, which builds and saves, never
-    # computes them; ``load`` computes both before it returns.
-
-    @functools.cached_property
-    def doc_id_ranks(self) -> np.ndarray:
-        """Position of each document in doc_id order, the tie-break of a ranking."""
-        ranks = np.empty(self.doc_count, dtype=np.int64)
-        ranks[sorted(range(self.doc_count), key=self.doc_ids.__getitem__)] = \
-            np.arange(self.doc_count)
-        return ranks
-
+    # Needed only to search: computed on first use, so that ``iterqe index``,
+    # which builds and saves, never computes it; ``load`` computes it.
     @functools.cached_property
     def impacts(self) -> np.ndarray:
         # idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avgdl)), evaluated
@@ -227,7 +221,9 @@ class PostingIndex:
                     arrays = {name: npz[name] for name in npz.files}
             except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
                 raise ValueError(f"{path}: not an index file ({exc})") from None
-        if "format" not in arrays or arrays["format"].tobytes() != INDEX_FORMAT.encode():
+        # NpzFile gives a member that is not an .npy array as its raw bytes
+        if (not all(isinstance(a, np.ndarray) for a in arrays.values())
+                or "format" not in arrays or arrays["format"].tobytes() != INDEX_FORMAT.encode()):
             raise ValueError(f"{path}: not an index file")
         version = arrays["version"].tolist() if "version" in arrays else None
         if version != [INDEX_VERSION]:
@@ -254,9 +250,9 @@ class PostingIndex:
         # the stored arrays, the gap planes among them, are not needed to
         # search: free them before the impacts take the load's peak
         del arrays
-        # a loaded index is there to be searched: pay for these while loading,
+        # a loaded index is there to be searched: pay for this while loading,
         # not in the first query
-        index.doc_id_ranks, index.impacts  # noqa: B018
+        index.impacts  # noqa: B018
         return index
 
 
@@ -421,5 +417,6 @@ def search_topk(index: PostingIndex, query_text: str, k: int) -> Ranking:
         # keep every candidate tied with the k-th score; doc_id decides among them
         kth = np.partition(scores[candidates], candidates.size - k)[candidates.size - k]
         candidates = candidates[scores[candidates] >= kth]
-    top = candidates[np.lexsort((index.doc_id_ranks[candidates], -scores[candidates]))][:k]
+    # candidates ascend by ordinal, which is doc-id order: a stable sort keeps it among ties
+    top = candidates[np.argsort(-scores[candidates], kind="stable")][:k]
     return Ranking(top, scores[top], index.doc_ids)

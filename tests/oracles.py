@@ -113,7 +113,7 @@ def rewrite_index_version(path, version):
     """Rewrite a saved index file as one of format ``version``, and drop its tfs.
 
     A file of another version must be refused for its version, not for the
-    arrays that version 4 reads and it lacks.
+    arrays that the current version reads and it lacks.
     """
     with np.load(path) as npz:
         arrays = {name: npz[name] for name in npz.files if name != "tfs"}
@@ -145,7 +145,8 @@ def reference_echo_answer(query, passages, seed, n_terms):
 
 
 def reference_ingest_jsonl(path):
-    """``(doc_ids, texts)`` of a JSONL corpus, parsed one line at a time with ``json``.
+    """``(doc_ids, texts)`` of a JSONL corpus, parsed one line at a time with ``json``,
+    in doc-id order.
 
     Raises ``ValueError`` with the message the program gives for the first
     bad line: invalid JSON, a record that is not an object with ``"id"`` and
@@ -175,7 +176,9 @@ def reference_ingest_jsonl(path):
             seen.add(doc_id)
             doc_ids.append(doc_id)
             texts.append(text)
-    return doc_ids, texts
+    # the ids are unique, so the pairs sort by id
+    pairs = sorted(zip(doc_ids, texts))
+    return [d for d, _ in pairs], [t for _, t in pairs]
 
 
 def assert_same_ranking(hits, oracle, k, rel=1e-9):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+import zipfile
 
 import numpy as np
 import pytest
@@ -38,12 +40,21 @@ def write_corpus(path, docs):
 
 
 def not_the_indexed_corpus(workspace, change):
-    """Rewrite the corpus with one passage dropped or two passages swapped."""
+    """Rewrite the corpus with one passage dropped or one passage's id renamed."""
     docs = list(CORPUS_DOCS)
     if change == "dropped":
         del docs[2]
     else:
-        docs[0], docs[1] = docs[1], docs[0]
+        # f3b sorts where f3 did: as many ids as indexed, and still ascending
+        docs[2] = {**docs[2], "id": "f3b"}
+    write_corpus(workspace / "corpus.jsonl", docs)
+
+
+def shuffle_corpus(workspace, seed):
+    """Rewrite the corpus with its lines shuffled, so that its ids no longer ascend by line."""
+    docs = list(CORPUS_DOCS)
+    random.Random(seed).shuffle(docs)
+    assert [d["id"] for d in docs] != sorted(d["id"] for d in docs)
     write_corpus(workspace / "corpus.jsonl", docs)
 
 
@@ -390,7 +401,7 @@ class TestRunCommand:
         result = invoke(["eval", "--run", str(out / "run.2.run.txt"), "--qrels", str(qrels)])
         assert result.exit_code == 0, result.output
 
-    @pytest.mark.parametrize("change", ["dropped", "swapped"])
+    @pytest.mark.parametrize("change", ["dropped", "renamed"])
     def test_corpus_not_the_indexed_one_rejected(self, workspace, change):
         idx = build_index_file(workspace)
         not_the_indexed_corpus(workspace, change)
@@ -401,20 +412,27 @@ class TestRunCommand:
         assert "iterqe index" in result.output
         assert not out.exists()
 
+    def test_indexed_corpus_in_another_line_order_runs(self, workspace):
+        # both number the passages in id order, whatever the lines' order
+        idx = build_index_file(workspace)
+        shuffle_corpus(workspace, 1)
+        command, expected = BYTE_IDENTITY_CASES["interaction-3x2"]
+        assert output_digests(workspace, command, idx) == expected
+
     def test_index_that_is_not_gzip(self, workspace):
         out = workspace / "out_bad"
         result = invoke(run_args(workspace, workspace / "corpus.jsonl", out))
         assert result.exit_code != 0
         assert not out.exists()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
     def test_other_index_version_rejected_before_writing(self, workspace, version):
         idx = build_index_file(workspace)
         rewrite_index_version(idx, version)
         out = workspace / "out_bad"
         result = invoke(run_args(workspace, idx, out))
         assert_error_line(result, f"{idx}: index file of version [{version}], but this code "
-                                  "reads version [4]: rebuild the index with `iterqe index`")
+                                  "reads version [5]: rebuild the index with `iterqe index`")
         assert not out.exists()
 
     def test_bogus_index_rejected_before_writing(self, workspace):
@@ -437,6 +455,13 @@ class TestRunCommand:
         ("doc_ids", lambda a, index: {"doc_ids": np.frombuffer(
             b"\xff" + a["doc_ids"].tobytes()[1:], dtype=np.uint8)},
          "can't decode byte 0xff"),
+        # f1 f1 f3 ...: an id repeats; g1 f2 ...: the ids fall
+        ("doc_ids", lambda a, index: {"doc_ids": np.frombuffer(
+            a["doc_ids"].tobytes().replace(b"f2", b"f1"), dtype=np.uint8)},
+         "the doc ids are not strictly ascending"),
+        ("doc_ids", lambda a, index: {"doc_ids": np.frombuffer(
+            a["doc_ids"].tobytes().replace(b"f1", b"g1"), dtype=np.uint8)},
+         "the doc ids are not strictly ascending"),
     ])
     def test_index_whose_arrays_do_not_fit_rejected_before_writing(self, workspace, name,
                                                                     change, message):
@@ -448,8 +473,7 @@ class TestRunCommand:
             np.savez_compressed(fh, **arrays)
         out = workspace / "out_bad"
         result = invoke(run_args(workspace, idx, out))
-        assert result.exit_code != 0
-        assert f"{idx}: " in result.output
+        assert_error_line(result, f"{idx}: ")
         assert message in result.output
         assert not out.exists()
 
@@ -667,7 +691,7 @@ class TestAblateCommand:
         assert f"{workspace / 'corpus.jsonl'}: line 1: invalid JSON (" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 5, pytest.param(None, id="not-an-index")])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6, pytest.param(None, id="not-an-index")])
     def test_other_index_version_rejected_before_writing(self, workspace, version):
         idx = build_index_file(workspace)
         if version is None:
@@ -681,7 +705,7 @@ class TestAblateCommand:
                          "--queries", str(workspace / "queries.tsv"),
                          "--out-dir", str(out)])
         assert_error_line(result, "not an index file" if version is None
-                          else f"version [{version}], but this code reads version [4]")
+                          else f"version [{version}], but this code reads version [5]")
         assert not out.exists()
 
     def test_out_dir_that_is_a_file_rejected(self, workspace):
@@ -699,7 +723,7 @@ class TestAblateCommand:
         assert out.read_bytes() == before
         assert not (workspace / "ablate_full.run.txt").exists()
 
-    @pytest.mark.parametrize("change", ["dropped", "swapped"])
+    @pytest.mark.parametrize("change", ["dropped", "renamed"])
     def test_corpus_not_the_indexed_one_rejected(self, workspace, change):
         idx = build_index_file(workspace)
         not_the_indexed_corpus(workspace, change)
@@ -712,6 +736,12 @@ class TestAblateCommand:
         assert result.exit_code != 0
         assert "corpus.jsonl is not the corpus" in result.output
         assert not out.exists()
+
+    def test_indexed_corpus_in_another_line_order_runs(self, workspace):
+        idx = build_index_file(workspace)
+        shuffle_corpus(workspace, 2)
+        command, expected = BYTE_IDENTITY_CASES["ablate"]
+        assert output_digests(workspace, command, idx) == expected
 
     @pytest.mark.parametrize("qrels,message", [
         ("q1 0 d1 x\n", "qrels.txt:1: grade 'x' is not an integer"),
@@ -848,9 +878,12 @@ BYTE_IDENTITY_CASES.update({
 })
 
 
-def output_digests(workspace, command):
-    """sha256 of each run, trace and metadata file that the command writes."""
-    idx = build_index_file(workspace)
+def output_digests(workspace, command, idx=None):
+    """sha256 of each run, trace and metadata file that the command writes.
+
+    The command runs on ``idx``, or on an index built from the workspace's corpus.
+    """
+    idx = idx or build_index_file(workspace)
     out = workspace / "out"
     extra = [str(workspace / "qrels.txt") if a == "QRELS" else a for a in command[1:]]
     result = invoke([command[0],
@@ -878,6 +911,26 @@ def test_outputs_independent_of_query_order(workspace, workers):
     (workspace / "queries.tsv").write_text("q2\tbrint coast\nq1\tzork flim\n")
     command, expected = BYTE_IDENTITY_CASES["interaction-3x2"]
     assert output_digests(workspace, [*command, "--workers", workers]) == expected
+
+
+def index_members(idx):
+    """The bytes of each array in an index file; the zip's timestamps vary with the time."""
+    with zipfile.ZipFile(idx) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+@pytest.mark.parametrize("case", ["interaction-3x2", "parallel-3x2"])
+def test_outputs_independent_of_corpus_line_order(workspace, case):
+    # passages are numbered in id order: the index, and so every output, is
+    # the same whatever the order of the corpus file's lines
+    idx = build_index_file(workspace)
+    stored = index_members(idx)
+    for seed in (3, 4):
+        idx.unlink()
+        shuffle_corpus(workspace, seed)
+        assert index_members(build_index_file(workspace)) == stored
+    command, expected = BYTE_IDENTITY_CASES[case]
+    assert output_digests(workspace, command, idx) == expected
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -24,6 +24,19 @@ class TestIngest:
         assert corpus.doc_ids == ["d1", "d2"]
         assert corpus.texts == ["alpha", "beta"]
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    def test_passages_in_doc_id_order(self, tmp_path, fmt):
+        # d10 sorts between d1 and d2, whatever the lines' order
+        path = tmp_path / f"corpus.{fmt}"
+        docs = [("d2", "two"), ("d10", "ten"), ("d1", "one")]
+        if fmt == "jsonl":
+            write_jsonl(path, [{"id": d, "contents": t} for d, t in docs])
+        else:
+            path.write_text("".join(f"{d}\t{t}\n" for d, t in docs))
+        corpus = ingest_corpus(str(path), fmt)
+        assert corpus.doc_ids == ["d1", "d10", "d2"]
+        assert corpus.texts == ["one", "ten", "two"]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -208,7 +221,7 @@ class TestColumns:
         by_hand = Corpus(list(doc_ids), texts)
         got, expected = build_index(ingest_corpus(str(path))), build_index(by_hand)
         assert got.terms == expected.terms
-        assert got.doc_ids == expected.doc_ids == doc_ids
+        assert got.doc_ids == expected.doc_ids == sorted(doc_ids)
         for name in ("offsets", "doc_ordinals", "tfs", "doc_lengths", "impacts"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 

@@ -226,6 +226,21 @@ class TestFileIO:
         with pytest.raises(TrecFormatError, match=":2:"):
             RunFile.read(str(path))
 
+    @pytest.mark.parametrize("score", ["nan", "NaN", "-nan", "x"])
+    def test_run_score_that_is_not_a_number_rejected(self, tmp_path, score):
+        # a NaN has no order: ranked() would put b anywhere, first among these
+        path = tmp_path / "run.txt"
+        path.write_text("".join(f"q1 Q0 {d} {rank} {s} t\n" for rank, (d, s) in enumerate(
+            [("a", "3.0"), ("b", score), ("c", "2.0"), ("d", "5.0"), ("e", "inf")], 1)))
+        with pytest.raises(TrecFormatError) as info:
+            RunFile.read(str(path))
+        assert str(info.value) == f"{path}:2: score {score!r} is not a number"
+
+    def test_run_infinite_scores_ranked(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 a 1 3.0 t\nq1 Q0 b 2 -inf t\nq1 Q0 c 3 inf t\n")
+        assert RunFile.read(str(path)).ranked() == {"q1": ["c", "a", "b"]}
+
     def test_run_bad_field_count(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text("q1 d1 1 2.0\n")

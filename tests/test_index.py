@@ -5,6 +5,7 @@ import math
 import os
 import random
 import tempfile
+import zipfile
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_index(make_corpus([]))
 
+    def test_repeated_doc_id_rejected(self):
+        # a corpus built by hand is not checked as ingest_corpus checks a file
+        with pytest.raises(ValueError, match="the doc ids are not strictly ascending"):
+            build_index(Corpus(["d1", "d0", "d1"], ["alpha", "beta", "gamma"]))
+
+    def test_ordinals_number_documents_in_doc_id_order(self):
+        index = build_index(Corpus(["d2", "d10", "d1"], ["beta", "alpha", "alpha beta"]))
+        assert index.doc_ids == ["d1", "d10", "d2"]
+        assert postings_of(index, "alpha") == [(0, 1), (1, 1)]
+        assert postings_of(index, "beta") == [(0, 1), (2, 1)]
+
     def test_postings_sorted_unique(self):
         rng = random.Random(7)
         # enough postings per term for an unstable sort to reorder them
@@ -84,6 +96,15 @@ def npz_bytes(**arrays):
     return buffer.getvalue()
 
 
+def zip_bytes(**members):
+    """A zip archive of the members as written, with no ``.npy`` framing."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+    return buffer.getvalue()
+
+
 def assert_arrays_equal(index, expected):
     """Same values and the dtypes the rest of the program expects."""
     for name, dtype in INDEX_ARRAYS.items():
@@ -101,13 +122,14 @@ class TestChunkedBuild:
                    ["zeta", "alpha", "zeta"]])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 10_000])
     def test_equals_per_document_build(self, chunk, docs):
-        texts = [" ".join(words) for words in docs]
-        terms, offsets, doc_ordinals, tfs, doc_lengths = reference_postings(texts)
+        corpus = make_corpus([" ".join(words) for words in docs])
+        # ids d0, d1, d10, ...: the corpus numbers its texts in that order
+        terms, offsets, doc_ordinals, tfs, doc_lengths = reference_postings(corpus.texts)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(index_module, "BUILD_CHUNK_DOCS", chunk)
-            index = build_index(make_corpus(texts))
+            index = build_index(corpus)
         assert index.terms == terms
-        assert index.doc_ids == [f"d{i}" for i in range(len(texts))]
+        assert index.doc_ids == sorted(f"d{i}" for i in range(len(docs)))
         assert_arrays_equal(index, {"offsets": offsets, "doc_ordinals": doc_ordinals,
                                     "tfs": tfs, "doc_lengths": doc_lengths})
         reference = PostingIndex(terms, np.array(offsets), np.array(doc_ordinals),
@@ -229,24 +251,22 @@ class TestPersistence:
             assert list(search_topk(loaded, query, 3)) == list(search_topk(index, query, 3))
 
     def test_built_then_searched_equals_loaded(self, tmp_path):
-        # ids d0..d29 sort as d0, d1, d10, ..., so ties exercise doc_id_ranks
+        # ids d0..d29 sort as d0, d1, d10, ..., so ties exercise the id order
         texts = [f"wax paper{i % 3} " + "river " * (i % 4) for i in range(30)]
         index = build_index(make_corpus(texts), Bm25Params(k1=1.2, b=0.75))
         path = tmp_path / "index.npz"
         index.save(str(path))
         # building and saving, all that `iterqe index` does, compute neither
-        assert not {"impacts", "doc_id_ranks"} & set(vars(index))
+        assert "impacts" not in vars(index)
         loaded = PostingIndex.load(str(path))
-        assert {"impacts", "doc_id_ranks"} <= set(vars(loaded))
+        assert "impacts" in vars(loaded)
         for query in ("wax", "river paper1", "paper2 paper2 wax", "absent"):
             got = search_topk(index, query, 7)
             expected = search_topk(loaded, query, 7)
             assert got.ordinals.tolist() == expected.ordinals.tolist()
             assert got.scores.tobytes() == expected.scores.tobytes()
         assert index.impacts.tobytes() == loaded.impacts.tobytes()
-        assert index.doc_id_ranks.tobytes() == loaded.doc_id_ranks.tobytes()
-        in_id_order = sorted(index.doc_ids)
-        assert index.doc_id_ranks.tolist() == [in_id_order.index(d) for d in index.doc_ids]
+        assert loaded.doc_ids == index.doc_ids == sorted(index.doc_ids)
 
     def test_saved_arrays_are_narrowest_unsigned(self, tmp_path):
         texts = [f"river basin{i} " + "wax " * (i % 300) for i in range(300)]
@@ -280,7 +300,7 @@ class TestPersistence:
         # a gap above 65,535 needs 32 bits: int32's four bytes, stored as four planes
         n = 70_000
         index = PostingIndex(["wax"], np.array([0, 2]), np.array([0, n - 1]), np.array([1, 3]),
-                             [f"d{i}" for i in range(n)])
+                             [f"d{i:05d}" for i in range(n)])
         path = tmp_path / "index.npz"
         index.save(str(path))
         with np.load(path) as npz:
@@ -294,7 +314,7 @@ class TestPersistence:
                                      for name in INDEX_ARRAYS})
         assert loaded.impacts.tobytes() == index.impacts.tobytes()
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
     def test_rejects_every_other_version(self, tmp_path, version):
         path = tmp_path / "index.npz"
         build_index(make_corpus(["columbia river", "river boat", "jacket"])).save(str(path))
@@ -302,7 +322,7 @@ class TestPersistence:
         with pytest.raises(ValueError) as info:
             PostingIndex.load(str(path))
         assert str(info.value) == (f"{path}: index file of version [{version}], but this code "
-                                   "reads version [4]: rebuild the index with `iterqe index`")
+                                   "reads version [5]: rebuild the index with `iterqe index`")
 
     @settings(max_examples=60, deadline=None)
     @given(docs=st.lists(st.lists(st.sampled_from(CHUNK_WORDS), max_size=6), min_size=1,
@@ -312,7 +332,8 @@ class TestPersistence:
            params=st.sampled_from([Bm25Params(), Bm25Params(k1=1.2, b=0.75)]))
     def test_round_trip_on_random_corpora(self, docs, lead, params):
         texts = ["the"] * lead + [" ".join(words) for words in docs]
-        index = build_index(make_corpus(texts), params)
+        # ids that sort in text order, so that the stopword-only documents come first
+        index = build_index(Corpus([f"d{i:03d}" for i in range(len(texts))], texts), params)
         with tempfile.TemporaryDirectory() as work:
             path = os.path.join(work, "index.npz")
             index.save(path)
@@ -373,7 +394,7 @@ class TestPersistence:
         index.save(str(path))
         assert sorted(os.listdir(tmp_path)) == ["index.gz"]
         loaded = PostingIndex.load(str(path))
-        assert loaded.doc_ids == doc_ids
+        assert loaded.doc_ids == sorted(doc_ids)
         assert loaded.params == Bm25Params(k1=1.2, b=0.75)
         assert loaded.terms == index.terms
         assert np.array_equal(loaded.impacts, index.impacts)
@@ -385,6 +406,8 @@ class TestPersistence:
         b"", b"not an index", b"PK\x03\x04 truncated zip",
         pytest.param(gzip.compress(b'{"format": "iterqe-index", "version": 1}'), id="gzip"),
         pytest.param(npz_bytes(weights=np.ones(3)), id="foreign-npz"),
+        # NpzFile reads a member that is not an .npy array as its raw bytes
+        pytest.param(zip_bytes(format=b"iterqe-index"), id="member-not-an-array"),
     ])
     def test_rejects_bogus_file(self, tmp_path, content):
         path = tmp_path / "index.gz"
@@ -442,6 +465,14 @@ class TestPersistence:
         pytest.param(lambda a, o, c: {"doc_ids": np.frombuffer(
                          b"\xff" + a["doc_ids"].tobytes()[1:], dtype=np.uint8)},
                      "can't decode byte 0xff", id="doc-ids-not-utf-8"),
+        # d0 d0 d2 d3: a ranking would name d0 twice
+        pytest.param(lambda a, o, c: {"doc_ids": np.frombuffer(
+                         a["doc_ids"].tobytes().replace(b"d1", b"d0"), dtype=np.uint8)},
+                     "the doc ids are not strictly ascending", id="repeated-doc-id"),
+        # e0 d1 d2 d3: a tie by ordinal would not be a tie by doc id
+        pytest.param(lambda a, o, c: {"doc_ids": np.frombuffer(
+                         a["doc_ids"].tobytes().replace(b"d0", b"e0"), dtype=np.uint8)},
+                     "the doc ids are not strictly ascending", id="falling-doc-ids"),
         # columbia river boat jacket store boat paper: a lookup of "boat" would
         # find the postings of wax, the last row of the name
         pytest.param(lambda a, o, c: {"terms": np.frombuffer(
