@@ -141,7 +141,7 @@ MUTANTS = [
     Mutant("evaluate-byte-order-mark-read", "evaluate.py",
            'open(path, encoding="utf-8-sig")', 'open(path, encoding="utf-8")'),
     Mutant("evaluate-nan-score-read", "evaluate.py",
-           "if math.isnan(s):", "if False:"),
+           "if s != s:", "if False:"),
     Mutant("evaluate-recall-cut-at-k-minus-1", "evaluate.py",
            "return len(relevant & set(ranking[:k])) / len(relevant)",
            "return len(relevant & set(ranking[:k - 1])) / len(relevant)"),

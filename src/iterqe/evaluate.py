@@ -108,7 +108,7 @@ class RunFile:
                 qid, _, docid, _rank, score, tag = parts
                 try:
                     s = float(score)
-                    if math.isnan(s):  # no order among scores: ranked() could not sort it
+                    if s != s:  # NaN: no order among scores, so ranked() could not sort it
                         raise ValueError
                 except ValueError:
                     raise TrecFormatError(f"{path}:{line_no}: score {score!r} is not a number")

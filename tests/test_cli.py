@@ -456,12 +456,12 @@ class TestRunCommand:
             b"\xff" + a["doc_ids"].tobytes()[1:], dtype=np.uint8)},
          "can't decode byte 0xff"),
         # f1 f1 f3 ...: an id repeats; g1 f2 ...: the ids fall
-        ("doc_ids", lambda a, index: {"doc_ids": np.frombuffer(
-            a["doc_ids"].tobytes().replace(b"f2", b"f1"), dtype=np.uint8)},
-         "the doc ids are not strictly ascending"),
-        ("doc_ids", lambda a, index: {"doc_ids": np.frombuffer(
-            a["doc_ids"].tobytes().replace(b"f1", b"g1"), dtype=np.uint8)},
-         "the doc ids are not strictly ascending"),
+        pytest.param("doc_ids", lambda a, index: {"doc_ids": np.frombuffer(
+                         a["doc_ids"].tobytes().replace(b"f2", b"f1"), dtype=np.uint8)},
+                     "the doc ids are not strictly ascending", id="repeated-doc-id"),
+        pytest.param("doc_ids", lambda a, index: {"doc_ids": np.frombuffer(
+                         a["doc_ids"].tobytes().replace(b"f1", b"g1"), dtype=np.uint8)},
+                     "the doc ids are not strictly ascending", id="falling-doc-ids"),
     ])
     def test_index_whose_arrays_do_not_fit_rejected_before_writing(self, workspace, name,
                                                                     change, message):
