@@ -99,12 +99,15 @@ MUTANTS = [
     Mutant("index-k1-non-finite-accepted", "index.py",
            "if not 0 <= self.k1 < math.inf:", "if self.k1 < 0:"),
     Mutant("index-doc-lengths-count-postings", "index.py",
-           "np.add.at(self.doc_lengths, self.doc_ordinals, self.tfs)",
-           "np.add.at(self.doc_lengths, self.doc_ordinals, 1)"),
+           "np.add.at(doc_lengths, self.doc_ordinals, self.tfs)",
+           "np.add.at(doc_lengths, self.doc_ordinals, 1)"),
+    Mutant("index-average-length-counts-postings", "index.py",
+           "int(self.tfs.sum(dtype=np.int64))", "len(self.tfs)"),
+    Mutant("index-loaded-tfs-kept", "index.py", "del index.tfs", "pass"),
     Mutant("index-whitespace-name-saved", "index.py",
            "if text.split() != strings:", "if False:"),
     Mutant("index-repeated-term-accepted", "index.py",
-           "if len(index.term_rows) != len(terms):", "if False:"),
+           "if len(self.term_rows) != len(terms):", "if False:"),
     # the strings decoded where a decode error escapes without the path
     Mutant("index-undecodable-name-unnamed", "index.py",
            "except ValueError as exc:",

@@ -25,7 +25,9 @@ The process's own peak after the load is the build's, so it cannot show
 what loading costs. ``load_peak_rss_above_baseline_mb`` can: a fresh
 spawned child, which has imported what this script imports, loads the
 saved index and reports how far its peak RSS rose above its peak before
-the load.
+the load. The same child reports ``held_rss_after_load_mb``, what the
+loaded index keeps: its RSS after the load and a ``gc.collect()``, minus
+its RSS before the load.
 
 At its default size it is not a test: 200,000 passages need about half
 a gigabyte and a minute or more on two cores. Tier-1 runs it with
@@ -71,22 +73,25 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
-def own_peak_rss_mb() -> float:
-    """This process image's peak RSS, Linux's ``VmHWM``.
+def own_rss_mb(field: str) -> float:
+    """This process image's ``VmHWM`` (peak RSS) or ``VmRSS`` (RSS now), from Linux.
 
-    Unlike ``ru_maxrss``, it starts again at exec, so a spawned child does
-    not inherit the peak of the process that started it.
+    Unlike ``ru_maxrss``, ``VmHWM`` starts again at exec, so a spawned child
+    does not inherit the peak of the process that started it.
     """
     with open("/proc/self/status", encoding="ascii") as fh:
-        kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+        kib = next(line.split()[1] for line in fh if line.startswith(f"{field}:"))
     return int(kib) / 1024.0
 
 
-def load_peak_rss_above_baseline_mb(index_path: str, conn) -> None:
-    """Run in a fresh process: send the peak RSS that loading the index adds."""
-    baseline = own_peak_rss_mb()
-    PostingIndex.load(index_path)
-    conn.send(own_peak_rss_mb() - baseline)
+def load_in_fresh_process(index_path: str, conn) -> None:
+    """Run in a fresh process: send the peak RSS that loading the index adds
+    and the RSS that the loaded index holds."""
+    peak_before, held_before = own_rss_mb("VmHWM"), own_rss_mb("VmRSS")
+    index = PostingIndex.load(index_path)  # noqa: F841 (held while measured)
+    load_peak = own_rss_mb("VmHWM") - peak_before
+    gc.collect()
+    conn.send((load_peak, own_rss_mb("VmRSS") - held_before))
     conn.close()
 
 
@@ -124,18 +129,18 @@ def probe(passages: int, seed: int, work_dir: str) -> dict:
     index, out["build_s"] = timed(build_index, corpus)
     out["peak_rss_after_build_mb"] = peak_rss_mb()
     out["postings"] = int(index.offsets[-1])
-    out["terms"] = len(index.terms)
+    out["terms"] = len(index.term_rows)
     index_path = os.path.join(work_dir, "index.npz")
     _, out["save_s"] = timed(index.save, index_path)
     out["index_bytes"] = os.path.getsize(index_path)
     del index
     gc.collect()
     receiver, sender = spawn.Pipe(duplex=False)
-    child = spawn.Process(target=load_peak_rss_above_baseline_mb, args=(index_path, sender))
+    child = spawn.Process(target=load_in_fresh_process, args=(index_path, sender))
     child.start()
     sender.close()
     try:
-        out["load_peak_rss_above_baseline_mb"] = receiver.recv()
+        out["load_peak_rss_above_baseline_mb"], out["held_rss_after_load_mb"] = receiver.recv()
     except EOFError:
         sys.exit("error: loading the index in a fresh process failed")
     finally:

@@ -98,7 +98,7 @@ def cmd_index(corpus_path, fmt, out_path, k1, b, force):
     index = build_index(ingest_corpus(corpus_path, fmt), params)
     index.save(out_path)
     click.echo(
-        f"indexed doc_count={index.doc_count} term_count={len(index.terms)} "
+        f"indexed doc_count={index.doc_count} term_count={len(index.term_rows)} "
         f"avg_doc_length={index.avg_doc_length:.2f} -> {out_path}"
     )
 

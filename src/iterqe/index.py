@@ -1,12 +1,12 @@
 """Inverted index with Okapi BM25 scoring (Lucene-style idf, k1=0.9, b=0.4).
 
 Postings are held in CSR arrays: the postings of the term in row ``r`` are
-the slice ``offsets[r]:offsets[r + 1]`` of ``doc_ordinals``, ``tfs`` and
-``impacts``. A posting's impact is its whole BM25 contribution,
-``idf * tf(k1 + 1) / (tf + norm)``, computed once when the index is loaded
-or first searched, so a search is a scatter-add of query multiplicity x
-impact over all documents (the eager sparse scoring of BM25S, Lù 2024,
-arXiv:2407.03618).
+the slice ``offsets[r]:offsets[r + 1]`` of ``doc_ordinals``, ``tfs`` (built
+index) and ``impacts`` (loaded or searched index). A posting's impact is its
+whole BM25 contribution, ``idf * tf(k1 + 1) / (tf + norm)``, computed once
+when the index is loaded or first searched, so a search is a scatter-add of
+query multiplicity x impact over all documents (the eager sparse scoring of
+BM25S, Lù 2024, arXiv:2407.03618).
 
 The scatter-add is one ``np.add.at`` per query term, in order of first
 occurrence in the query. Since numpy 1.25 ``ufunc.at`` makes one unbuffered
@@ -41,12 +41,12 @@ cannot derive, in these arrays:
 - ``tfs``: the term frequency of each posting.
 
 ``posting_counts`` and ``tfs`` are stored in the narrowest unsigned dtype
-that holds their largest value. A document's length is the sum of its
-postings' term frequencies, so it is not stored. ``PostingIndex.load``
-checks the stored arrays and decodes them into the int64 offsets and int32
-ordinals and term frequencies that ``build_index`` makes. It refuses a file
-of any other version with one message, so a change to the stored layout or
-to the analysis bumps ``INDEX_VERSION`` and adds no other code.
+that holds their largest value. Document lengths, the sums of the tfs, are
+not stored. ``PostingIndex.load`` checks the stored arrays, decodes them
+into the int64 offsets and int32 ordinals and tfs that ``build_index``
+makes, and keeps no tfs once the impacts are computed. It refuses a file of
+any other version with one message, so a change to the stored layout or to
+the analysis bumps ``INDEX_VERSION`` and adds no other code.
 """
 
 from __future__ import annotations
@@ -135,27 +135,28 @@ class Ranking:
 
 
 class PostingIndex:
-    """Postings in CSR layout plus the per-posting BM25 impacts derived from them."""
+    """Postings in CSR layout plus the per-posting BM25 impacts derived from them.
+
+    Built, it holds ``term_rows``, offsets, ordinals, tfs and ids, and computes
+    its impacts when first searched (never in ``iterqe index``). Loaded, it is
+    only searched, never saved: it holds the same minus the tfs, plus impacts.
+    """
 
     def __init__(self, terms: list[str], offsets: np.ndarray, doc_ordinals: np.ndarray,
                  tfs: np.ndarray, doc_ids: list[str], params: Bm25Params | None = None):
         if not all(map(str.__lt__, doc_ids, islice(doc_ids, 1, None))):
             raise ValueError("the doc ids are not strictly ascending")
-        self.terms = terms
         self.term_rows = dict(zip(terms, range(len(terms))))
+        # a repeated term would keep only its last row
+        if len(self.term_rows) != len(terms):
+            raise ValueError("a term is stored twice")
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.doc_ordinals = np.asarray(doc_ordinals, dtype=np.int32)
         self.tfs = np.asarray(tfs, dtype=np.int32)
         self.doc_ids = doc_ids
-        # a document's length is the sum of its term frequencies. add.at, not
-        # bincount: bincount's weights would be a float64 copy of the tfs
-        self.doc_lengths = np.zeros(self.doc_count, dtype=np.int32)
-        np.add.at(self.doc_lengths, self.doc_ordinals, self.tfs)
         self.params = params or Bm25Params()
-        self.avg_doc_length = int(self.doc_lengths.sum(dtype=np.int64)) / self.doc_count
+        self.avg_doc_length = int(self.tfs.sum(dtype=np.int64)) / self.doc_count
 
-    # Needed only to search: computed on first use, so that ``iterqe index``,
-    # which builds and saves, never computes it; ``load`` computes it.
     @functools.cached_property
     def impacts(self) -> np.ndarray:
         # idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avgdl)), evaluated
@@ -170,7 +171,11 @@ class PostingIndex:
         distinct, row_df = np.unique(dfs, return_inverse=True)
         idf = np.array([math.log(1.0 + (n - df + 0.5) / (df + 0.5)) for df in distinct.tolist()],
                        dtype=np.float64)[row_df]
-        denominator = self.doc_lengths[self.doc_ordinals].astype(np.float64)
+        # a document's length is the sum of its term frequencies. add.at, not
+        # bincount: bincount's weights would be a float64 copy of the tfs
+        doc_lengths = np.zeros(n, dtype=np.int32)
+        np.add.at(doc_lengths, self.doc_ordinals, self.tfs)
+        denominator = doc_lengths[self.doc_ordinals].astype(np.float64)
         denominator *= b
         denominator /= avgdl
         denominator += 1.0 - b
@@ -197,7 +202,7 @@ class PostingIndex:
             "format": np.frombuffer(INDEX_FORMAT.encode(), dtype=np.uint8),
             "version": np.array([INDEX_VERSION], dtype=np.int64),
             "params": np.array([self.params.k1, self.params.b], dtype=np.float64),
-            "terms": _joined(self.terms, "term"), "doc_ids": _joined(self.doc_ids, "doc id"),
+            "terms": _joined([*self.term_rows], "term"), "doc_ids": _joined(self.doc_ids, "doc id"),
             "posting_counts": _narrow(np.diff(self.offsets)),
             "doc_gap_planes": _gap_planes(self.doc_ordinals, self.offsets),
             "tfs": _narrow(self.tfs),
@@ -242,17 +247,15 @@ class PostingIndex:
             k1, b = arrays["params"].tolist()
             index = cls(terms, offsets, doc_ordinals, arrays["tfs"], doc_ids,
                         Bm25Params(k1=k1, b=b))
-            # a repeated term would keep only its last row
-            if len(index.term_rows) != len(terms):
-                raise ValueError("a term is stored twice")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         # the stored arrays, the gap planes among them, are not needed to
         # search: free them before the impacts take the load's peak
         del arrays
         # a loaded index is there to be searched: pay for this while loading,
-        # not in the first query
+        # not in the first query; a search reads no tfs
         index.impacts  # noqa: B018
+        del index.tfs
         return index
 
 

@@ -56,9 +56,9 @@ def reference_scores(index, query_text):
     scores = [0.0] * index.doc_count
     ordinals, impacts = index.doc_ordinals.tolist(), index.impacts.tolist()
     for term, mult in counts.items():
-        if term not in index.terms:
+        row = index.term_rows.get(term)
+        if row is None:
             continue
-        row = index.terms.index(term)
         for p in range(int(index.offsets[row]), int(index.offsets[row + 1])):
             scores[ordinals[p]] += mult * impacts[p]
     return scores

@@ -49,12 +49,19 @@ class TestBuild:
         assert postings_of(index, "wax") == [(0, 3)]
 
     def test_avg_doc_length(self):
-        index = build_index(make_corpus(["one two", "one two three four"]))
-        assert index.avg_doc_length == 3
+        # 7 tokens in 6 postings: a length counts every occurrence of a term
+        index = build_index(make_corpus(["one one two", "one two three four"]))
+        assert index.avg_doc_length == 3.5
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_index(make_corpus([]))
+
+    def test_repeated_term_rejected(self):
+        # a lookup of "wax" would find only the postings of its last row
+        with pytest.raises(ValueError, match="a term is stored twice"):
+            PostingIndex(["wax", "wax"], np.array([0, 1, 2]), np.array([0, 1]), np.array([1, 1]),
+                         ["d0", "d1"])
 
     def test_repeated_doc_id_rejected(self):
         # a corpus built by hand is not checked as ingest_corpus checks a file
@@ -74,20 +81,21 @@ class TestBuild:
             " ".join(rng.choices(["tok", "common", "rare", "other"], k=rng.randint(1, 6)))
             for _ in range(500)
         ]
-        index = build_index(make_corpus(texts))
-        for term in index.terms:
+        corpus = make_corpus(texts)
+        index = build_index(corpus)
+        lengths = reference_postings(corpus.texts)[4]
+        for term in index.term_rows:
             postings = postings_of(index, term)
             ords = [d for d, _ in postings]
             assert ords == sorted(set(ords))
             for d, tf in postings:
-                assert 1 <= tf <= index.doc_lengths[d]
+                assert 1 <= tf <= lengths[d]
 
 
 # "the" and "of" are stopwords, so a document may analyse to no terms at all
 CHUNK_WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "the", "of"]
 BAD_TFS = "the term frequencies are not integers in 1..2147483647"
-INDEX_ARRAYS = {"offsets": np.int64, "doc_ordinals": np.int32, "tfs": np.int32,
-                "doc_lengths": np.int32}
+INDEX_ARRAYS = {"offsets": np.int64, "doc_ordinals": np.int32, "tfs": np.int32}
 
 
 def npz_bytes(**arrays):
@@ -105,12 +113,31 @@ def zip_bytes(**members):
     return buffer.getvalue()
 
 
+def stored_arrays(path):
+    """The arrays of an index file, by name."""
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
 def assert_arrays_equal(index, expected):
-    """Same values and the dtypes the rest of the program expects."""
-    for name, dtype in INDEX_ARRAYS.items():
+    """Same values as ``expected`` and the dtypes the rest of the program expects."""
+    for name, values in expected.items():
         got = getattr(index, name)
-        assert got.dtype == dtype, name
-        assert got.tolist() == list(expected[name]), name
+        assert got.dtype == INDEX_ARRAYS[name], name
+        assert got.tolist() == list(values), name
+
+
+def assert_loaded_equals_built(loaded, built, stored):
+    """The loaded index holds the built one's terms and arrays, and no tfs.
+
+    A loaded index drops its tfs once it has computed the impacts, so the
+    built index's tfs are checked against ``stored``, the file's arrays.
+    """
+    assert loaded.term_rows == built.term_rows
+    assert_arrays_equal(loaded, {name: getattr(built, name).tolist()
+                                 for name in ("offsets", "doc_ordinals")})
+    assert "tfs" not in vars(loaded)
+    assert stored["tfs"].tolist() == built.tfs.tolist()
 
 
 class TestChunkedBuild:
@@ -128,10 +155,11 @@ class TestChunkedBuild:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(index_module, "BUILD_CHUNK_DOCS", chunk)
             index = build_index(corpus)
-        assert index.terms == terms
+        assert list(index.term_rows) == terms
         assert index.doc_ids == sorted(f"d{i}" for i in range(len(docs)))
         assert_arrays_equal(index, {"offsets": offsets, "doc_ordinals": doc_ordinals,
-                                    "tfs": tfs, "doc_lengths": doc_lengths})
+                                    "tfs": tfs})
+        assert index.avg_doc_length == sum(doc_lengths) / len(docs)
         reference = PostingIndex(terms, np.array(offsets), np.array(doc_ordinals),
                                  np.array(tfs), index.doc_ids)
         assert index.impacts.dtype == np.float64
@@ -139,13 +167,15 @@ class TestChunkedBuild:
 
     def test_stopwords_only_corpus_saves_and_loads(self, tmp_path):
         index = build_index(make_corpus(["the of", "and", ""]))
-        assert index.terms == [] and index.offsets.tolist() == [0]
+        assert index.term_rows == {} and index.offsets.tolist() == [0]
         path = tmp_path / "index.npz"
         index.save(str(path))
         loaded = PostingIndex.load(str(path))
-        assert loaded.terms == [] and loaded.doc_ids == ["d0", "d1", "d2"]
-        assert_arrays_equal(loaded, {"offsets": [0], "doc_ordinals": [], "tfs": [],
-                                     "doc_lengths": [0, 0, 0]})
+        assert loaded.term_rows == {} and loaded.doc_ids == ["d0", "d1", "d2"]
+        assert_arrays_equal(loaded, {"offsets": [0], "doc_ordinals": []})
+        assert stored_arrays(path)["tfs"].tolist() == []
+        # every document's length is 0
+        assert loaded.avg_doc_length == 0
         assert len(search_topk(loaded, "alpha", 3)) == 0
 
 
@@ -260,6 +290,10 @@ class TestPersistence:
         assert "impacts" not in vars(index)
         loaded = PostingIndex.load(str(path))
         assert "impacts" in vars(loaded)
+        # each fact held once: the terms are term_rows' keys, the lengths sums
+        # of the tfs, and a loaded index, which only searches, keeps no tfs
+        assert not {"terms", "doc_lengths"} & set(vars(index))
+        assert not {"terms", "doc_lengths", "tfs"} & set(vars(loaded))
         for query in ("wax", "river paper1", "paper2 paper2 wax", "absent"):
             got = search_topk(index, query, 7)
             expected = search_topk(loaded, query, 7)
@@ -273,8 +307,7 @@ class TestPersistence:
         index = build_index(make_corpus(texts))
         path = tmp_path / "index.npz"
         index.save(str(path))
-        with np.load(path) as npz:
-            stored = {name: npz[name] for name in npz.files}
+        stored = stored_arrays(path)
         # 300 documents: gaps up to 299 (basin299's first) need 16 bits, so two
         # byte planes; a tf of at most 299 needs 16 bits too
         planes = stored["doc_gap_planes"]
@@ -286,14 +319,13 @@ class TestPersistence:
         for name in ("posting_counts", "tfs"):
             values = stored[name]
             assert values.dtype == np.min_scalar_type(int(values.max())), name
-        for name in ("terms", "doc_ids"):
+        for name, strings in (("terms", index.term_rows), ("doc_ids", index.doc_ids)):
             assert stored[name].dtype == np.uint8
-            assert stored[name].tobytes() == "\n".join(getattr(index, name)).encode(), name
+            assert stored[name].tobytes() == "\n".join(strings).encode(), name
         assert set(stored) == {"format", "version", "params", "terms", "doc_ids",
                                "posting_counts", "doc_gap_planes", "tfs"}
         loaded = PostingIndex.load(str(path))
-        assert_arrays_equal(loaded, {name: getattr(index, name).tolist()
-                                     for name in INDEX_ARRAYS})
+        assert_loaded_equals_built(loaded, index, stored)
         assert loaded.impacts.tobytes() == index.impacts.tobytes()
 
     def test_array_that_would_not_shrink_keeps_its_dtype(self, tmp_path):
@@ -303,15 +335,13 @@ class TestPersistence:
                              [f"d{i:05d}" for i in range(n)])
         path = tmp_path / "index.npz"
         index.save(str(path))
-        with np.load(path) as npz:
-            stored = {name: npz[name] for name in ("posting_counts", "doc_gap_planes", "tfs")}
-        assert {name: a.dtype for name, a in stored.items()} == {
-            "posting_counts": np.uint8, "doc_gap_planes": np.uint8, "tfs": np.uint8}
+        stored = stored_arrays(path)
+        for name in ("posting_counts", "doc_gap_planes", "tfs"):
+            assert stored[name].dtype == np.uint8, name
         # gaps 0 and 69,999 = 0x0001116F, low byte first
         assert stored["doc_gap_planes"].tolist() == [[0, 0x6F], [0, 0x11], [0, 0x01], [0, 0]]
         loaded = PostingIndex.load(str(path))
-        assert_arrays_equal(loaded, {name: getattr(index, name).tolist()
-                                     for name in INDEX_ARRAYS})
+        assert_loaded_equals_built(loaded, index, stored)
         assert loaded.impacts.tobytes() == index.impacts.tobytes()
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
@@ -337,18 +367,16 @@ class TestPersistence:
         with tempfile.TemporaryDirectory() as work:
             path = os.path.join(work, "index.npz")
             index.save(path)
-            with np.load(path) as npz:
-                planes = npz["doc_gap_planes"]
+            stored = stored_arrays(path)
             loaded = PostingIndex.load(path)
+        planes = stored["doc_gap_planes"]
         # the first gaps exceed a byte only after the stopword-only documents
         assert len(planes) == (2 if lead and len(index.doc_ordinals) else 1)
         counts = np.diff(index.offsets).tolist()
         assert planes.tobytes() == reference_gap_planes(index.doc_ordinals.tolist(), counts,
                                                         len(planes)).tobytes()
-        assert (loaded.terms, loaded.doc_ids, loaded.params) == (index.terms, index.doc_ids,
-                                                                 params)
-        assert_arrays_equal(loaded, {name: getattr(index, name).tolist()
-                                     for name in INDEX_ARRAYS})
+        assert (loaded.doc_ids, loaded.params) == (index.doc_ids, params)
+        assert_loaded_equals_built(loaded, index, stored)
         assert loaded.impacts.tobytes() == index.impacts.tobytes()
 
     @pytest.mark.parametrize("doc_ids, terms, what", [
@@ -360,9 +388,9 @@ class TestPersistence:
     ])
     def test_save_refuses_a_name_that_is_empty_or_holds_whitespace(self, tmp_path, doc_ids,
                                                                   terms, what):
-        index = build_index(Corpus(doc_ids, ["wax", "wax"]))
-        if terms is not None:
-            index.terms = terms
+        # the postings of build_index(Corpus(doc_ids, ["wax", "wax"])), with the given term
+        index = PostingIndex(terms or ["wax"], np.array([0, 2]), np.array([0, 1]),
+                             np.array([1, 1]), doc_ids)
         with pytest.raises(ValueError, match=f"a {what} is empty or holds whitespace"):
             index.save(str(tmp_path / "index.npz"))
         assert os.listdir(tmp_path) == []
@@ -396,7 +424,7 @@ class TestPersistence:
         loaded = PostingIndex.load(str(path))
         assert loaded.doc_ids == sorted(doc_ids)
         assert loaded.params == Bm25Params(k1=1.2, b=0.75)
-        assert loaded.terms == index.terms
+        assert loaded.term_rows == index.term_rows
         assert np.array_equal(loaded.impacts, index.impacts)
         for query in ("columbia", "river boat", "jacket river columbia", "absent"):
             assert list(search_topk(loaded, query, 4)) == list(search_topk(index, query, 4))
@@ -638,15 +666,16 @@ class TestScatterAddMatchesOracle:
         # in the last bit on some builds
         texts = [f"river basin{i} " + "columbia " * (i % 4) + "boat" * (i % 3 == 0)
                  for i in range(29)]
-        index = build_index(make_corpus(texts), Bm25Params(k1=1.2, b=0.75))
+        corpus = make_corpus(texts)
+        index = build_index(corpus, Bm25Params(k1=1.2, b=0.75))
         k1, b = 1.2, 0.75
-        avgdl = sum(index.doc_lengths.tolist()) / index.doc_count
-        for term in index.terms:
+        lengths = reference_postings(corpus.texts)[4]
+        avgdl = sum(lengths) / index.doc_count
+        for term, row in index.term_rows.items():
             postings = postings_of(index, term)
             df = len(postings)
             idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
-            row = index.term_rows[term]
             impacts = index.impacts[index.offsets[row]:index.offsets[row + 1]].tolist()
             for (ordinal, tf), impact in zip(postings, impacts):
-                norm = k1 * (1.0 - b + b * int(index.doc_lengths[ordinal]) / avgdl)
+                norm = k1 * (1.0 - b + b * lengths[ordinal] / avgdl)
                 assert impact == idf * (tf * (k1 + 1.0)) / (tf + norm)
